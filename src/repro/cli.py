@@ -23,9 +23,12 @@ Commands:
 - ``top``      — dashboard view of a ledger (replay, or follow a
   sweep running in another terminal)
 
-``sweep``, ``figure``, and ``scenario run`` all route through the same
-pipeline: scenario-spec expansion into config lists, the parallel
-executor, and the on-disk result cache.
+``sweep`` and ``figure`` are front-ends to ``scenario run``: ``sweep``
+builds a one-axis spec from its flags, ``figure N`` loads the bundled
+``figureN`` spec and adds its paper-shape findings.  All three print,
+cache and write files through the one scenario runner, which expands
+the spec into configs for the parallel executor and the on-disk result
+cache.
 
 ``run`` and ``sweep`` accept ``--metrics-out metrics.json`` to dump the
 full metrics-registry snapshot (every component counter/gauge/histogram).
@@ -56,6 +59,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.config import (
+    FIDELITIES,
+    TOPOLOGIES,
     CpuConfig,
     ExperimentConfig,
     FabricConfig,
@@ -67,13 +72,7 @@ from repro.core.config import (
 from repro.core.experiment import run_experiment
 from repro.core.model import ThroughputModel
 from repro.core.results import FailedRun
-from repro.core.sweep import (
-    baseline_config,
-    sweep_antagonist_cores,
-    sweep_receiver_cores,
-    sweep_receivers,
-    sweep_region_size,
-)
+from repro.core.sweep import SWEEP_AXES, axis_spec, baseline_config
 
 __all__ = ["build_parser", "main"]
 
@@ -172,18 +171,6 @@ def _transport_choices() -> tuple:
     return tuple(available())
 
 
-def _fidelity_choices() -> tuple:
-    from repro.core.config import FIDELITIES
-
-    return FIDELITIES
-
-
-def _topology_choices() -> tuple:
-    from repro.core.config import TOPOLOGIES
-
-    return TOPOLOGIES
-
-
 def _routing_choices() -> tuple:
     from repro.net.routing import available
 
@@ -209,7 +196,7 @@ def _host_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transport", default="swift",
                         choices=_transport_choices())
     parser.add_argument("--topology", default="star",
-                        choices=_topology_choices(),
+                        choices=TOPOLOGIES,
                         help="fabric between senders and hosts: the "
                              "one-hop star, a k-ary fat tree, or a "
                              "two-switch dumbbell (default star)")
@@ -324,50 +311,13 @@ def _print_sweep_table(table, x_key: str) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = baseline_config(
-        warmup=args.warmup_ms * 1e-3,
-        duration=args.duration_ms * 1e-3,
-        seed=args.seed,
-        fidelity=args.fidelity,
-    )
-    snapshots: Optional[list] = [] if args.metrics_out else None
-    cache = _cache_from_args(args)
-    telemetry = _Telemetry(args, label=f"sweep-{args.axis}")
-    run_opts = dict(base=base, snapshots_out=snapshots,
-                    workers=args.workers, timeout=args.timeout_s,
-                    cache=cache, events=telemetry.sink,
-                    failures="keep" if args.keep_failed else "raise")
-    try:
-        if args.axis == "cores":
-            table = sweep_receiver_cores(cores=tuple(args.values),
-                                         **run_opts)
-            x_key = "cores"
-        elif args.axis == "region":
-            table = sweep_region_size(
-                region_mb=tuple(int(v) for v in args.values), **run_opts)
-            x_key = "rx_region_mb"
-        elif args.axis == "receivers":
-            table = sweep_receivers(
-                receivers=tuple(int(v) for v in args.values), **run_opts)
-            x_key = "receivers"
-        else:
-            table = sweep_antagonist_cores(
-                antagonists=tuple(int(v) for v in args.values),
-                **run_opts)
-            x_key = "antagonist_cores"
-    except BaseException:
-        telemetry.finish(ok=False)
-        raise
-    telemetry.finish()
-    _print_sweep_table(table, x_key)
-    if cache is not None and cache.hits:
-        print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
-    if args.csv:
-        table.to_csv(args.csv)
-        print(f"wrote {args.csv}")
-    if args.metrics_out:
-        _write_metrics(args.metrics_out, snapshots)
-    return 0
+    """``repro sweep``: a one-axis spec run like ``scenario run``."""
+    spec = axis_spec(args.axis, args.values, overrides={
+        "sim.warmup": args.warmup_ms * 1e-3,
+        "sim.duration": args.duration_ms * 1e-3,
+        "sim.seed": args.seed,
+    })
+    return _run_scenario(spec, args)
 
 
 def _scenario_specs(args: argparse.Namespace):
@@ -432,7 +382,19 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 1
 
 
-def _run_scenario(spec, args: argparse.Namespace) -> int:
+def _report_cache(cache) -> None:
+    if cache is not None and cache.hits:
+        print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
+
+
+def _run_scenario(spec, args: argparse.Namespace,
+                  check: bool = False) -> int:
+    """Run ``spec`` and print its figure or table — the one execution
+    path behind ``scenario run``, ``sweep`` and ``figure``.
+
+    ``check`` (``figure``) prints the rendered figure's paper-shape
+    findings after it and returns 1 when any of them fails.
+    """
     from repro.analysis.figures import figure_from_scenario
 
     render = spec.render
@@ -443,53 +405,53 @@ def _run_scenario(spec, args: argparse.Namespace) -> int:
     telemetry = _Telemetry(args, label=f"scenario-{spec.name}")
     failures = "keep" if args.keep_failed else "raise"
 
-    if spec.driver in ("sweep", "fleet") and render is not None \
-            and render.style in ("panels", "scatter") \
-            and not args.metrics_out:
+    as_figure = (spec.driver in ("sweep", "fleet") and render is not None
+                 and render.style in ("panels", "scatter")
+                 and not args.metrics_out)
+    if as_figure or spec.driver == "sweep":
         cache = _cache_from_args(args) if spec.driver == "sweep" else None
-        try:
-            fig = figure_from_scenario(spec, quality=args.quality,
-                                       workers=args.workers, cache=cache,
-                                       fidelity=fidelity,
-                                       events=telemetry.sink,
-                                       failures=failures)
-        except BaseException:
-            telemetry.finish(ok=False)
-            raise
-        telemetry.finish()
-        print(fig.render())
-        if cache is not None and cache.hits:
-            print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
-        if args.out:
-            paths = fig.to_csv_dir(args.out)
-            print(f"wrote {len(paths)} CSV files to {args.out}")
-        if args.csv and fig.table is not None:
-            fig.table.to_csv(args.csv)
-            print(f"wrote {args.csv}")
-        return 0
-
-    if spec.driver == "sweep":
-        cache = _cache_from_args(args)
         snapshots: Optional[list] = [] if args.metrics_out else None
         try:
-            table = spec.run(quality=args.quality, workers=args.workers,
-                             timeout=args.timeout_s, cache=cache,
-                             snapshots_out=snapshots, fidelity=fidelity,
-                             events=telemetry.sink, failures=failures)
+            if as_figure:
+                fig = figure_from_scenario(
+                    spec, quality=args.quality, workers=args.workers,
+                    cache=cache, fidelity=fidelity,
+                    events=telemetry.sink, failures=failures)
+                table = fig.table
+            else:
+                table = spec.run(
+                    quality=args.quality, workers=args.workers,
+                    timeout=args.timeout_s, cache=cache,
+                    snapshots_out=snapshots, fidelity=fidelity,
+                    events=telemetry.sink, failures=failures)
         except BaseException:
             telemetry.finish(ok=False)
             raise
         telemetry.finish()
-        x_key = render.x if render is not None and render.x else "seed"
-        _print_sweep_table(table, x_key)
-        if cache is not None and cache.hits:
-            print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es)")
-        if args.csv:
+        status = 0
+        if as_figure:
+            print(fig.render())
+            if check:
+                from repro.analysis.compare import check_figure
+
+                findings = check_figure(fig)
+                print()
+                for finding in findings:
+                    print(finding)
+                status = 0 if all(f.passed for f in findings) else 1
+        else:
+            _print_sweep_table(table, render.x if render is not None
+                               and render.x else "seed")
+        _report_cache(cache)
+        if as_figure and args.out:
+            paths = fig.to_csv_dir(args.out)
+            print(f"wrote {len(paths)} CSV files to {args.out}")
+        if args.csv and table is not None:
             table.to_csv(args.csv)
             print(f"wrote {args.csv}")
         if args.metrics_out:
             _write_metrics(args.metrics_out, snapshots)
-        return 0
+        return status
 
     # Remaining drivers emit no lifecycle events; seal any ledger the
     # flags opened so it is not left dangling.
@@ -524,30 +486,15 @@ def _run_scenario(spec, args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    from repro.analysis import figures
-    from repro.analysis.compare import check_figure
+    """``repro figure N``: the bundled ``figureN`` spec through
+    ``scenario run``, plus the paper-shape findings and exit code."""
+    from repro.core.scenario import load_bundled
 
-    cache = _cache_from_args(args)
-    opts = dict(quality=args.quality, workers=args.workers, cache=cache)
-    fn = {
-        "1": lambda: figures.figure1(n_hosts=args.hosts,
-                                     quality=args.quality,
-                                     workers=args.workers),
-        "3": lambda: figures.figure3(**opts),
-        "4": lambda: figures.figure4(**opts),
-        "5": lambda: figures.figure5(**opts),
-        "6": lambda: figures.figure6(**opts),
-    }[args.number]
-    fig = fn()
-    print(fig.render())
-    findings = check_figure(fig)
-    print()
-    for finding in findings:
-        print(finding)
-    if args.out:
-        paths = fig.to_csv_dir(args.out)
-        print(f"wrote {len(paths)} CSV files to {args.out}")
-    return 0 if all(f.passed for f in findings) else 1
+    spec = load_bundled(f"figure{args.number}")
+    if spec.driver == "fleet":
+        spec = dataclasses.replace(
+            spec, driver_args={**spec.driver_args, "n_hosts": args.hosts})
+    return _run_scenario(spec, args, check=True)
 
 
 #: ``--shards auto``: one shard (checkpoint granule) per this many
@@ -843,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment")
     _host_args(p_run)
     p_run.add_argument("--fidelity", default="packet",
-                       choices=_fidelity_choices(),
+                       choices=FIDELITIES,
                        help="simulation engine: packet-level kernel or "
                             "rate-based fluid solver (default packet)")
     p_run.add_argument("--metrics-out",
@@ -851,8 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis")
-    p_sweep.add_argument("axis", choices=("cores", "region",
-                                          "antagonists", "receivers"))
+    p_sweep.add_argument("axis", choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("values", type=int, nargs="+")
     p_sweep.add_argument("--csv", help="also write results to CSV")
     p_sweep.add_argument("--metrics-out",
@@ -861,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--warmup-ms", type=float, default=5.0)
     p_sweep.add_argument("--duration-ms", type=float, default=10.0)
     p_sweep.add_argument("--fidelity", default="packet",
-                         choices=_fidelity_choices(),
+                         choices=FIDELITIES,
                          help="simulation engine for every point "
                               "(default packet)")
     p_sweep.add_argument("--timeout-s", type=float, default=None,
@@ -869,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "runs become FAILED rows, not aborts")
     _parallel_args(p_sweep)
     _telemetry_args(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, quality=None, out=None)
 
     p_scen = sub.add_parser(
         "scenario",
@@ -899,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="quality preset (default: the spec's "
                                  "default_quality)")
     p_scen_run.add_argument("--fidelity", default=None,
-                            choices=_fidelity_choices(),
+                            choices=FIDELITIES,
                             help="override the spec's engine choice "
                                  "(default: the spec's fidelity)")
     p_scen_run.add_argument("--csv",
@@ -946,7 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fleet size for figure 1")
     p_fig.add_argument("--out", help="directory for CSV export")
     _parallel_args(p_fig)
-    p_fig.set_defaults(func=cmd_figure)
+    p_fig.set_defaults(func=cmd_figure, csv=None, metrics_out=None,
+                       timeout_s=None, keep_failed=False)
 
     p_fleet = sub.add_parser(
         "fleet", help="stream a sampled fleet (Fig. 1)")
@@ -964,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--warmup-ms", type=float, default=3.0)
     p_fleet.add_argument("--duration-ms", type=float, default=6.0)
     p_fleet.add_argument("--fidelity", default=None,
-                         choices=_fidelity_choices(),
+                         choices=FIDELITIES,
                          help="engine for every host (fluid scales to "
                               "millions; default packet)")
     p_fleet.add_argument("--backend", default="auto",

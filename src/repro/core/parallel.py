@@ -2,8 +2,8 @@
 
 Every paper figure is a sweep of 8–20 *independent* ``run_experiment``
 calls, so sweeps are embarrassingly parallel.  This module fans the
-runs out to a :class:`~concurrent.futures.ProcessPoolExecutor` while
-keeping the output bit-identical to a serial run:
+runs out to worker processes while keeping the output bit-identical to
+a serial run:
 
 - each run derives **all** randomness from its own ``config.sim.seed``
   (a fresh ``Simulator`` + ``RngRegistry`` per run, no module-level
@@ -13,6 +13,24 @@ keeping the output bit-identical to a serial run:
   the serial runner row for row;
 - pickling is exact for floats, so worker → parent transport does not
   perturb a single bit.
+
+One driver, :func:`_drive`, owns all of the process plumbing: the
+:class:`~concurrent.futures.ProcessPoolExecutor`, the bounded
+submit/wait/reorder loop, cancellation of queued work on error or
+abandonment, and the managed event queue that carries in-worker
+telemetry to the parent.  Serial execution (``workers=1``) stays
+in-process and goes through the same task function.  The three public
+entry points are thin layers over it:
+
+- :func:`run_many` — a config list: cache split, then the driver with
+  a window equal to the pending count, so every run is submitted at
+  once and one slow point cannot leave workers idle;
+- :func:`run_stream` — a lazily drawn config sequence through a
+  bounded window (default ``2 * workers``), constant parent memory;
+  the engine of the million-host scalar fleet
+  (:meth:`repro.workload.fleet.FleetSampler.run_aggregate`);
+- :func:`map_stream` — the same streaming shape for an arbitrary
+  picklable task function (the batched fleet's index ranges).
 
 Failure semantics: a worker exception aborts the sweep with a
 :class:`SweepRunError` carrying the offending config — unless
@@ -24,27 +42,14 @@ sink a 20-run figure sweep.
 
 Live telemetry: pass ``events`` (any callable taking a dict) and the
 runner streams lifecycle events — ``plan``, ``queued``, ``cached``,
-``started``, ``finished``, ``failed`` — as they happen.  ``started``
-originates *inside* the worker process and travels over a managed
-multiprocessing queue that exists only while a sink is attached; with
-``events=None`` (the default) no queue, no manager process, and no
-per-run stats collection happen at all.  Event dicts are exactly the
-rows of the JSONL run ledger (:mod:`repro.core.ledger`) and the input
-to :class:`~repro.obs.telemetry.RunAggregate`.
-
-Serial execution (``workers=1``) goes through the same single-run
-worker function as the pool path — one code shape, one set of
-semantics — and is the in-process fallback wherever a pool is not
-worth its fork cost.
-
-Streaming: :func:`run_stream` is the constant-memory sibling of
-:func:`run_many`.  It consumes its config iterable *lazily*, keeps at
-most a bounded window of runs in flight, and yields each
-:class:`RunOutcome` in submission order as soon as its turn completes
-— no config list, no result list, no O(n) parent state.  It is the
-execution engine of the million-host fleet pipeline
-(:meth:`repro.workload.fleet.FleetSampler.run_aggregate`), where the
-parent folds every outcome into a mergeable aggregate and drops it.
+``started``, ``finished``, ``failed``.  ``started`` originates *inside*
+the worker process and travels over a managed multiprocessing queue
+that exists only while a sink is attached; with ``events=None`` (the
+default) no queue, no manager process, and no per-run stats collection
+happen at all.  ``finished``/``failed`` are emitted as each outcome is
+settled, in submission order.  Event dicts are exactly the rows of the
+JSONL run ledger (:mod:`repro.core.ledger`) and the input to
+:class:`~repro.obs.telemetry.RunAggregate`.
 """
 
 from __future__ import annotations
@@ -54,10 +59,13 @@ import os
 import signal
 import time
 import traceback
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -286,6 +294,100 @@ def _settle(
                       snapshot=snapshot if want_snapshots else None)
 
 
+def _drive(
+    fn: Callable,
+    tasks: Iterable[tuple],
+    n_workers: int,
+    *,
+    window: Optional[int] = None,
+    events: Optional[EventSink] = None,
+) -> Iterator[Tuple[int, object]]:
+    """The one execution driver: yield ``(position, fn(*args))`` for
+    each argument tuple in ``tasks``, in submission order.
+
+    ``tasks`` is consumed lazily.  With ``n_workers == 1`` every task
+    runs in-process, given ``events`` (when set) as ``emit=``.
+    Otherwise tasks go to a process pool with at most ``window``
+    (default ``2 * n_workers``, never below ``n_workers``) submitted
+    or buffered at once, so parent memory is bounded by the window,
+    not the task count.  With ``events`` set, a manager-hosted queue
+    is handed to every worker and drained between completions (and
+    once more at the end); event ordering across processes is
+    best-effort.
+
+    An exception raised by ``fn`` propagates.  It, Ctrl-C, or closing
+    the generator early cancels every queued task, so shutdown does
+    not run the rest of the stream.
+    """
+    numbered = enumerate(tasks)
+    if n_workers == 1:
+        emit = {} if events is None else {"emit": events}
+        for position, args in numbered:
+            yield position, fn(*args, **emit)
+        return
+
+    window = (2 * n_workers if window is None
+              else max(int(window), n_workers))
+    manager = multiprocessing.Manager() if events is not None else None
+    try:
+        queue = manager.Queue() if manager is not None else None
+        init = ({"initializer": _init_worker, "initargs": (queue,)}
+                if queue is not None else {})
+        poll = 0.2 if queue is not None else None
+
+        def drain() -> None:
+            while queue is not None and not queue.empty():
+                events(queue.get_nowait())
+
+        with ProcessPoolExecutor(max_workers=n_workers, **init) as pool:
+            in_flight: Dict = {}            # future -> position
+            ready: Dict[int, object] = {}   # position -> result
+            next_yield = 0
+            exhausted = False
+
+            def top_up() -> None:
+                nonlocal exhausted
+                while (not exhausted
+                       and len(in_flight) + len(ready) < window):
+                    try:
+                        position, args = next(numbered)
+                    except StopIteration:
+                        exhausted = True
+                        return
+                    in_flight[pool.submit(fn, *args)] = position
+
+            try:
+                top_up()
+                while in_flight or ready:
+                    if in_flight:
+                        done, _ = wait(in_flight, timeout=poll,
+                                       return_when=FIRST_COMPLETED)
+                        drain()
+                        for future in done:
+                            position = in_flight.pop(future)
+                            ready[position] = future.result()
+                    while next_yield in ready:
+                        position = next_yield
+                        next_yield += 1
+                        result = ready.pop(position)
+                        top_up()
+                        yield position, result
+                    top_up()
+            except BaseException:
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
+        drain()
+    finally:
+        if manager is not None:
+            manager.shutdown()
+
+
+def _check_failures(failures: str) -> None:
+    if failures not in ("raise", "keep"):
+        raise ValueError(
+            f"failures must be 'raise' or 'keep', got {failures!r}")
+
+
 def run_many(
     configs: Iterable[ExperimentConfig],
     *,
@@ -299,9 +401,9 @@ def run_many(
 ) -> List[RunOutcome]:
     """Run every config and return outcomes in input order.
 
-    ``progress`` is invoked once per finished run with the run's table
-    index and result — in completion order under a pool, which is table
-    order only for serial execution.
+    ``progress`` is invoked once per run with the run's table index
+    and result: first for every cache hit, then for each executed run
+    in table order.
 
     ``events`` receives lifecycle event dicts (see module docstring) as
     they happen; ``None`` disables all telemetry work.  ``failures``
@@ -309,9 +411,7 @@ def run_many(
     :class:`SweepRunError`; ``"keep"`` records a structured
     :class:`FailedRun` row and keeps sweeping.
     """
-    if failures not in ("raise", "keep"):
-        raise ValueError(
-            f"failures must be 'raise' or 'keep', got {failures!r}")
+    _check_failures(failures)
     configs = list(configs)
     outcomes: List[Optional[RunOutcome]] = [None] * len(configs)
 
@@ -349,81 +449,20 @@ def run_many(
     # Snapshots are computed in-worker whenever they are wanted *or*
     # cached, so a later `--metrics-out` rerun can hit the same entry.
     want = want_snapshots or cache is not None
-
-    def finalize(index: int, payload: tuple) -> None:
-        outcomes[index] = _settle(index, configs[index], payload,
-                                  events, failures, cache=cache,
-                                  want_snapshots=want_snapshots)
-        if progress is not None:
-            progress(index, outcomes[index].result)
-
     n_workers = min(resolve_workers(workers), max(1, len(pending)))
-    if n_workers == 1:
-        for index in pending:
-            _, payload = _execute(index, configs[index], want, timeout,
-                                  emit=events)
-            finalize(index, payload)
-    elif pending:
-        _run_pool(configs, pending, want, timeout, n_workers, events,
-                  finalize)
+    tasks = ((index, configs[index], want, timeout) for index in pending)
+    # A window of the whole pending list submits every run up front, so
+    # one slow operating point cannot leave the other workers idle.
+    with closing(_drive(_execute, tasks, n_workers,
+                        window=len(pending), events=events)) as done:
+        for _, (index, payload) in done:
+            outcomes[index] = _settle(index, configs[index], payload,
+                                      events, failures, cache=cache,
+                                      want_snapshots=want_snapshots)
+            if progress is not None:
+                progress(index, outcomes[index].result)
 
     return outcomes  # type: ignore[return-value]
-
-
-def _run_pool(configs, pending, want, timeout, n_workers,
-              events: Optional[EventSink], finalize) -> None:
-    """Fan ``pending`` out to a process pool, streaming worker events.
-
-    When ``events`` is set, a manager-hosted queue is handed to every
-    worker via the pool initializer; the parent drains it between
-    future completions (and once more at the end), so in-worker
-    ``started`` events interleave with parent-side ``finished`` ones.
-    Ordering across processes is best-effort — consumers must not
-    assume ``started`` precedes its ``finished`` row.
-    """
-    manager = None
-    queue = None
-    pool_kwargs: dict = {}
-    try:
-        if events is not None:
-            manager = multiprocessing.Manager()
-            queue = manager.Queue()
-            pool_kwargs = {"initializer": _init_worker,
-                           "initargs": (queue,)}
-
-        def drain() -> None:
-            if queue is None:
-                return
-            while not queue.empty():
-                events(queue.get_nowait())
-
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 **pool_kwargs) as pool:
-            futures = {
-                pool.submit(_execute, index, configs[index], want, timeout)
-                for index in pending
-            }
-            try:
-                while futures:
-                    if queue is not None:
-                        done, futures = wait(futures, timeout=0.2,
-                                             return_when=FIRST_COMPLETED)
-                        drain()
-                    else:
-                        done, futures = wait(futures,
-                                             return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, payload = future.result()
-                        finalize(index, payload)
-            except BaseException:
-                # A failed run (or Ctrl-C) aborts the sweep: drop the
-                # queued work so shutdown does not run it to completion.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        drain()
-    finally:
-        if manager is not None:
-            manager.shutdown()
 
 
 def run_stream(
@@ -459,92 +498,21 @@ def run_stream(
     outcome, so a slow fold slows the pool instead of letting results
     pile up in the parent.
     """
-    if failures not in ("raise", "keep"):
-        raise ValueError(
-            f"failures must be 'raise' or 'keep', got {failures!r}")
-    numbered = iter(enumerate(configs, start=start_index))
-    n_workers = resolve_workers(workers)
+    _check_failures(failures)
+    # Configs drawn but not yet settled, oldest first: the driver
+    # yields in submission order, so each result pairs with the head.
+    drawn: Deque[ExperimentConfig] = deque()
 
-    if n_workers == 1:
-        for index, config in numbered:
-            _, payload = _execute(index, config, False, timeout,
-                                  emit=events)
-            yield _settle(index, config, payload, events, failures)
-        return
+    def tasks() -> Iterator[tuple]:
+        for index, config in enumerate(configs, start=start_index):
+            drawn.append(config)
+            yield index, config, False, timeout
 
-    if window is None:
-        window = 2 * n_workers
-    window = max(int(window), n_workers)
-
-    manager = None
-    queue = None
-    pool_kwargs: dict = {}
-    try:
-        if events is not None:
-            manager = multiprocessing.Manager()
-            queue = manager.Queue()
-            pool_kwargs = {"initializer": _init_worker,
-                           "initargs": (queue,)}
-
-        def drain() -> None:
-            if queue is None:
-                return
-            while not queue.empty():
-                events(queue.get_nowait())
-
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 **pool_kwargs) as pool:
-            in_flight: Dict = {}       # future -> (index, config)
-            ready: Dict[int, tuple] = {}   # index -> (config, payload)
-            next_yield = start_index
-            exhausted = False
-
-            def top_up() -> None:
-                nonlocal exhausted
-                while (not exhausted
-                       and len(in_flight) + len(ready) < window):
-                    try:
-                        index, config = next(numbered)
-                    except StopIteration:
-                        exhausted = True
-                        return
-                    future = pool.submit(_execute, index, config,
-                                         False, timeout)
-                    in_flight[future] = (index, config)
-
-            try:
-                top_up()
-                while in_flight or ready:
-                    if in_flight:
-                        if queue is not None:
-                            done, _ = wait(in_flight, timeout=0.2,
-                                           return_when=FIRST_COMPLETED)
-                            drain()
-                        else:
-                            done, _ = wait(in_flight,
-                                           return_when=FIRST_COMPLETED)
-                        for future in done:
-                            index, config = in_flight.pop(future)
-                            _, payload = future.result()
-                            ready[index] = (config, payload)
-                    while next_yield in ready:
-                        config, payload = ready.pop(next_yield)
-                        outcome = _settle(next_yield, config, payload,
-                                          events, failures)
-                        next_yield += 1
-                        top_up()
-                        yield outcome
-                    top_up()
-            except BaseException:
-                # Consumer abandoned the stream (GeneratorExit), a
-                # run raised, or Ctrl-C: drop queued work so shutdown
-                # does not run the remaining million hosts.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        drain()
-    finally:
-        if manager is not None:
-            manager.shutdown()
+    with closing(_drive(_execute, tasks(), resolve_workers(workers),
+                        window=window, events=events)) as done:
+        for _, (index, payload) in done:
+            yield _settle(index, drawn.popleft(), payload, events,
+                          failures)
 
 
 def map_stream(
@@ -570,51 +538,4 @@ def map_stream(
     fault-tolerant caller catches inside ``fn`` and returns a
     structured failure value instead.
     """
-    numbered = iter(enumerate(tasks))
-    n_workers = resolve_workers(workers)
-
-    if n_workers == 1:
-        for position, args in numbered:
-            yield position, fn(*args)
-        return
-
-    if window is None:
-        window = 2 * n_workers
-    window = max(int(window), n_workers)
-
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        in_flight: Dict = {}          # future -> position
-        ready: Dict[int, object] = {}  # position -> result
-        next_yield = 0
-        exhausted = False
-
-        def top_up() -> None:
-            nonlocal exhausted
-            while (not exhausted
-                   and len(in_flight) + len(ready) < window):
-                try:
-                    position, args = next(numbered)
-                except StopIteration:
-                    exhausted = True
-                    return
-                in_flight[pool.submit(fn, *args)] = position
-
-        try:
-            top_up()
-            while in_flight or ready:
-                if in_flight:
-                    done, _ = wait(in_flight,
-                                   return_when=FIRST_COMPLETED)
-                    for future in done:
-                        position = in_flight.pop(future)
-                        ready[position] = future.result()
-                while next_yield in ready:
-                    result = ready.pop(next_yield)
-                    position = next_yield
-                    next_yield += 1
-                    top_up()
-                    yield position, result
-                top_up()
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+    return _drive(fn, tasks, resolve_workers(workers), window=window)

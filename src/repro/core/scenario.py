@@ -332,7 +332,7 @@ class ScenarioSpec:
     #: Driver-specific knobs (fleet: n_hosts/seed; day: n_bins/...).
     driver_args: Mapping[str, Any] = field(default_factory=dict)
     render: Optional[RenderSpec] = None
-    #: Provenance for error messages ("figure3.toml", "<sweep_cores>").
+    #: Provenance for error messages ("figure3.toml", "<sweep cores>").
     source: str = "<memory>"
 
     # -- construction ------------------------------------------------------

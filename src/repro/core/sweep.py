@@ -8,13 +8,15 @@ declaration order as the historical loops, so config lists — and
 therefore results — are byte-identical) and runs it through the one
 shared execution path, :func:`repro.core.scenario.run_configs`.
 
-Prefer spec files (``repro scenario run``) for new studies; these
-helpers remain for programmatic callers and the figure entry points.
+The swept axes live in one table, :data:`SWEEP_AXES`, which
+``repro sweep`` also builds its spec from (:func:`axis_spec`).  Prefer
+spec files (``repro scenario run``) for new studies; these helpers
+remain for programmatic callers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.cache import ResultCache
 from repro.core.config import (
@@ -25,9 +27,16 @@ from repro.core.config import (
 )
 from repro.core.parallel import Workers
 from repro.core.results import ExperimentResult, ResultTable
-from repro.core.scenario import ScenarioSpec, SweepAxis, run_configs
+from repro.core.scenario import (
+    RenderSpec,
+    ScenarioSpec,
+    SweepAxis,
+    run_configs,
+)
 
 __all__ = [
+    "SWEEP_AXES",
+    "axis_spec",
     "baseline_config",
     "run_sweep",
     "sweep_antagonist_cores",
@@ -87,10 +96,39 @@ def run_sweep(
                        failures=failures)
 
 
-def _sweep_spec(name: str, axes: List[SweepAxis],
-                base_overrides: Optional[dict] = None) -> ScenarioSpec:
-    return ScenarioSpec(name=name, base=base_overrides or {},
-                        axes=tuple(axes), source=f"<{name}>")
+#: The one-axis sweeps, by ``repro sweep`` axis name: the swept config
+#: path, the result-table column it shows up as, the value scale, and
+#: the IOMMU states swept alongside it (outermost; none for
+#: ``receivers``).  The ``sweep_*`` helpers and ``repro sweep`` both
+#: build their specs from this table through :func:`axis_spec`.
+SWEEP_AXES: Dict[str, Tuple[str, str, int, Tuple[bool, ...]]] = {
+    "cores": ("host.cpu.cores", "cores", 1, (True, False)),
+    "region": ("host.rx_region_bytes", "rx_region_mb", 2**20,
+               (True, False)),
+    "receivers": ("workload.receivers", "receivers", 1, ()),
+    "antagonists": ("host.antagonist_cores", "antagonist_cores", 1,
+                    (False, True)),
+}
+
+
+def axis_spec(axis: str, values: Sequence,
+               iommu_states: Optional[Sequence[bool]] = None,
+               overrides: Optional[dict] = None) -> ScenarioSpec:
+    """An in-memory spec sweeping one :data:`SWEEP_AXES` axis.
+
+    ``iommu_states`` replaces the axis's default IOMMU grid;
+    ``overrides`` are the spec's dotted-path ``[base]``.  The table
+    column of the swept axis is the spec's render ``x``, so
+    ``repro scenario`` prints it as the first column.
+    """
+    path, column, scale, default_iommu = SWEEP_AXES[axis]
+    axes = [SweepAxis(path, tuple(values), scale=scale)]
+    if default_iommu:
+        iommu = default_iommu if iommu_states is None else iommu_states
+        axes.insert(0, SweepAxis("host.iommu.enabled", tuple(iommu)))
+    return ScenarioSpec(name=f"sweep-{axis}", base=overrides or {},
+                        axes=tuple(axes), render=RenderSpec(x=column),
+                        source=f"<sweep {axis}>")
 
 
 def sweep_receiver_cores(
@@ -108,11 +146,9 @@ def sweep_receiver_cores(
     failures: str = "raise",
 ) -> ResultTable:
     """Figures 3 and 4: throughput/drops/misses vs receiver cores."""
-    spec = _sweep_spec(
-        "sweep_receiver_cores",
-        [SweepAxis("host.iommu.enabled", tuple(iommu_states)),
-         SweepAxis("host.cpu.cores", tuple(cores))],
-        {} if hugepages is None else {"host.hugepages": hugepages})
+    spec = axis_spec(
+        "cores", cores, iommu_states,
+        None if hugepages is None else {"host.hugepages": hugepages})
     return spec.run(base=base or baseline_config(), progress=progress,
                     snapshots_out=snapshots_out, workers=workers,
                     timeout=timeout, cache=cache, events=events,
@@ -133,11 +169,7 @@ def sweep_region_size(
     failures: str = "raise",
 ) -> ResultTable:
     """Figure 5: throughput/drops/misses vs Rx memory region size."""
-    spec = _sweep_spec(
-        "sweep_region_size",
-        [SweepAxis("host.iommu.enabled", tuple(iommu_states)),
-         SweepAxis("host.rx_region_bytes", tuple(region_mb),
-                   scale=2**20)])
+    spec = axis_spec("region", region_mb, iommu_states)
     return spec.run(base=base or baseline_config(), progress=progress,
                     snapshots_out=snapshots_out, workers=workers,
                     timeout=timeout, cache=cache, events=events,
@@ -165,9 +197,7 @@ def sweep_receivers(
     throughput scales linearly — the sanity check that congestion in
     this model is a *host* phenomenon, not a fabric one.
     """
-    spec = _sweep_spec(
-        "sweep_receivers",
-        [SweepAxis("workload.receivers", tuple(receivers))])
+    spec = axis_spec("receivers", receivers)
     return spec.run(base=base or baseline_config(), progress=progress,
                     snapshots_out=snapshots_out, workers=workers,
                     timeout=timeout, cache=cache, events=events,
@@ -188,10 +218,7 @@ def sweep_antagonist_cores(
     failures: str = "raise",
 ) -> ResultTable:
     """Figure 6: throughput/memory bandwidth/drops vs STREAM cores."""
-    spec = _sweep_spec(
-        "sweep_antagonist_cores",
-        [SweepAxis("host.iommu.enabled", tuple(iommu_states)),
-         SweepAxis("host.antagonist_cores", tuple(antagonists))])
+    spec = axis_spec("antagonists", antagonists, iommu_states)
     return spec.run(base=base or baseline_config(), progress=progress,
                     snapshots_out=snapshots_out, workers=workers,
                     timeout=timeout, cache=cache, events=events,

@@ -8,8 +8,8 @@ equivalent read path, in two halves:
 **In-sim** (:class:`MetricsSampler` → :class:`TelemetryBus`): a
 sampler component polls the :class:`~repro.obs.metrics.MetricsRegistry`
 on a fixed sim-time interval — drift-free ``epoch + k·interval``
-scheduling, like the time-series recorder — and publishes typed
-:class:`TelemetrySample` records onto a bounded, subscriber-based bus.
+scheduling — and publishes typed :class:`TelemetrySample` records
+onto a bounded, subscriber-based bus.
 The bus is deliberately hook-first (subscribe/unsubscribe, last-value
 queries, windowed deltas and rates): it is the exact API a future
 in-sim Controller (ROADMAP item 5) will consume to actuate on live

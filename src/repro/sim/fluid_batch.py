@@ -40,6 +40,19 @@ must be structurally uniform.  :func:`repro.workload.fleet.cohort_key`
 computes the partition key; the constructor validates it and raises
 ``ValueError`` on a mixed cohort.
 
+**Why the step is written twice.**  The obvious single-source design
+writes the step once over a tiny ops shim (``where``/``minimum``/
+``maximum`` as ``a if c else b``/``min``/``max`` for scalars,
+``np.where``/``np.minimum``/``np.maximum`` for arrays).  A prototype
+of its scalar side matched :meth:`FluidSolver.step` bit for bit on
+all 81 bundled fluid sweep configs, but cost 2.5× per step (median of
+five runs spanning 2.1–2.7×, each the median of 12 alternating passes
+of 20 000 steps on a figure-3 point; about 9.1 against 3.6 µs on a
+2-vCPU Intel Xeon): every value branch becomes a function call with
+both arms evaluated.  Scalar fluid points dominate whole-sweep CPU
+time, so the scalar step stays hand-written and this one mirrors it,
+held equal by the bitwise equivalence tests.
+
 Per-host latency/delay *distributions* (``latency_pairs``,
 ``delay_pairs``, ``step_trace``) are deliberately not materialized:
 the fleet folds scalar headline metrics only, and keeping those lists
@@ -106,12 +119,21 @@ class BatchFluidSolver:
 
     ``configs`` must agree on the three structural flags (loss- vs
     delay-based transport, open- vs closed-loop workload, IOMMU
-    enabled); every continuous parameter may vary per host.
+    enabled); every continuous parameter may vary per host.  Every
+    config must use the one-hop star fabric: the fabric stage exists
+    only in the scalar solver, so any other ``fabric.topology`` is
+    rejected rather than silently stepped as a star.
     """
 
     def __init__(self, configs: Sequence[ExperimentConfig]):
         if not configs:
             raise ValueError("BatchFluidSolver needs at least one config")
+        for config in configs:
+            if config.fabric.topology != "star":
+                raise ValueError(
+                    f"BatchFluidSolver steps star fabrics only; "
+                    f"fabric.topology={config.fabric.topology!r} needs "
+                    f"the scalar FluidSolver's fabric stage")
         solvers = [FluidSolver(config) for config in configs]
         first = solvers[0]
         self.n = len(solvers)

@@ -330,21 +330,9 @@ class FleetSampler:
         host) otherwise; the explicit names force a path.  Batching is
         a fluid-only concept — the packet engine has no array form —
         so ``"batched"`` with a packet fleet is an error.
-
-        ``"auto"`` also falls back to ``"scalar"`` when numpy is
-        absent (it is a declared dependency, but the scalar engines
-        run without it); asking for ``"batched"`` explicitly in that
-        situation raises ``ImportError`` instead of silently
-        downgrading.
         """
         if backend == "auto":
-            if self.fidelity != "fluid":
-                return "scalar"
-            try:
-                import numpy  # noqa: F401
-            except ImportError:
-                return "scalar"
-            return "batched"
+            return "batched" if self.fidelity == "fluid" else "scalar"
         if backend not in ("batched", "scalar"):
             raise ValueError(
                 f"backend must be 'auto', 'batched', or 'scalar', "
@@ -364,10 +352,10 @@ class FleetSampler:
         step each cohort through one
         :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and fold the
         per-host outcomes — in index order — into a fresh
-        :class:`FleetAggregate`.  A cohort that fails to batch-solve
-        falls back to per-host scalar runs, and a host that still
-        fails is folded via ``add_failed`` — one bad host cannot sink
-        the range, exactly like the scalar streaming path.
+        :class:`FleetAggregate`.  A cohort whose batch solve raises is
+        a bug to surface, not to route around: every host in it is
+        folded via ``add_failed`` as an ``"error"`` carrying the
+        exception's repr, and the rest of the range still folds.
 
         Returns ``(aggregate_state_dict, host_rows)`` — plain
         picklable data.  ``host_rows`` is ``None`` unless
@@ -380,16 +368,6 @@ class FleetSampler:
         configs = {i: self.draw_config(i) for i in range(start, stop)}
         outcomes: Dict[int, tuple] = {}
 
-        def scalar_fallback(index: int) -> tuple:
-            from repro.core.experiment import run_experiment
-            try:
-                result = run_experiment(configs[index])
-                return ("ok", result.metrics["link_utilization"],
-                        result.metrics["drop_rate"],
-                        result.metrics.get("app_throughput_gbps", 0.0))
-            except Exception as exc:
-                return ("failed", "error", repr(exc))
-
         for indices in group_cohorts(configs.items()).values():
             try:
                 solver = BatchFluidSolver([configs[i] for i in indices])
@@ -397,9 +375,9 @@ class FleetSampler:
                 solver.reset_stats()
                 solver.run_until(end_time)
                 metrics = solver.fleet_metrics()
-            except Exception:
+            except Exception as exc:
                 for index in indices:
-                    outcomes[index] = scalar_fallback(index)
+                    outcomes[index] = ("failed", "error", repr(exc))
                 continue
             utils = metrics["link_utilization"]
             drops = metrics["drop_rate"]

@@ -352,3 +352,118 @@ x = "cores"
     capsys.readouterr()
     assert main(["scenario", "run", str(spec)]) == 0
     assert "cache: 2 hit(s)" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# `sweep` and `figure` are front-ends to `scenario run`
+# ---------------------------------------------------------------------------
+
+CORES_SPEC = """
+[scenario]
+name = "cores"
+fidelity = "fluid"
+
+[base]
+"sim.warmup" = 1e-3
+"sim.duration" = 2e-3
+
+[[axes]]
+path = "host.iommu.enabled"
+values = [true, false]
+
+[[axes]]
+path = "host.cpu.cores"
+values = [2, 4]
+
+[render]
+style = "table"
+x = "cores"
+"""
+
+
+def _forbid(monkeypatch, module, *names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI must run specs, not helpers")
+
+    for name in names:
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_sweep_matches_scenario_run_of_same_spec(tmp_path, capsys,
+                                                 monkeypatch):
+    from repro.core import sweep
+
+    _forbid(monkeypatch, sweep, "sweep_receiver_cores",
+            "sweep_region_size", "sweep_receivers",
+            "sweep_antagonist_cores")
+    spec = tmp_path / "cores.toml"
+    spec.write_text(CORES_SPEC)
+    csv_path = tmp_path / "out.csv"
+    metrics_path = tmp_path / "out.json"
+    files = ["--no-cache", "--csv", str(csv_path),
+             "--metrics-out", str(metrics_path)]
+
+    assert main(["sweep", "cores", "2", "4", "--warmup-ms", "1",
+                 "--duration-ms", "2", "--fidelity", "fluid"]
+                + files) == 0
+    sweep_out = capsys.readouterr().out.splitlines()
+    sweep_files = csv_path.read_bytes(), metrics_path.read_bytes()
+
+    assert main(["scenario", "run", str(spec)] + files) == 0
+    scenario_out = capsys.readouterr().out.splitlines()
+
+    # Only the header line (spec name and source) differs.
+    assert sweep_out[0].startswith("scenario sweep-cores (<sweep cores>)")
+    assert sweep_out[1:] == scenario_out[1:]
+    assert (csv_path.read_bytes(), metrics_path.read_bytes()) \
+        == sweep_files
+    data_rows = [line for line in sweep_out
+                 if line.strip() and line.lstrip()[0].isdigit()]
+    assert len(data_rows) == 4
+
+
+def test_figure_is_scenario_run_plus_findings(capsys, monkeypatch):
+    import dataclasses
+
+    from repro.analysis import figures
+    from repro.core import scenario
+
+    _forbid(monkeypatch, figures, "figure1", "figure3", "figure4",
+            "figure5", "figure6")
+    bundled = scenario.load_bundled
+    # Fluid keeps the figure-3 quick grid to a fraction of a second.
+    monkeypatch.setattr(
+        scenario, "load_bundled",
+        lambda name: dataclasses.replace(bundled(name), fidelity="fluid"))
+
+    figure_code = main(["figure", "3", "--quality", "quick",
+                        "--no-cache"])
+    figure_out = capsys.readouterr().out
+    assert main(["scenario", "run", "figure3", "--quality", "quick",
+                 "--fidelity", "fluid", "--no-cache"]) == 0
+    scenario_out = capsys.readouterr().out
+
+    assert figure_out.startswith(scenario_out)
+    findings = figure_out[len(scenario_out):].splitlines()
+    assert findings[0] == ""
+    assert findings[1:]
+    assert all(line.startswith(("[PASS] ", "[FAIL] "))
+               for line in findings[1:])
+    failed = any(line.startswith("[FAIL] ") for line in findings[1:])
+    assert figure_code == (1 if failed else 0)
+
+
+def test_figure_one_maps_hosts_onto_the_fleet_spec(capsys,
+                                                   monkeypatch):
+    import dataclasses
+
+    from repro.core import scenario
+
+    bundled = scenario.load_bundled
+    monkeypatch.setattr(
+        scenario, "load_bundled",
+        lambda name: dataclasses.replace(bundled(name), fidelity="fluid"))
+    main(["figure", "1", "--hosts", "12"])
+    out = capsys.readouterr().out
+    assert out.startswith("scenario figure1 ")
+    assert "hosts=12" in out

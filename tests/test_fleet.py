@@ -283,6 +283,52 @@ class TestBatchedBackend:
         for event in finished:
             assert "link_utilization" in event["metrics"]
 
+    def test_cohort_whose_batch_solve_raises_is_counted_failed(
+            self, monkeypatch):
+        """A cohort the batch kernel cannot solve is folded as failed
+        hosts, loudly — not silently re-run on the scalar engine."""
+        from repro.core import experiment
+        from repro.sim.fluid_batch import BatchFluidSolver
+        from repro.workload.fleet import group_cohorts
+
+        sampler = self.sampler()
+        n_hosts = 40
+        cohorts = group_cohorts(
+            (i, sampler.draw_config(i)) for i in range(n_hosts))
+        assert len(cohorts) > 1
+        run_until = BatchFluidSolver.run_until
+
+        def broken_for_loss_based(self, until):
+            if self.loss_based:
+                raise FloatingPointError("injected")
+            run_until(self, until)
+
+        scalar_runs = []
+
+        def no_scalar_fallback(config, *args, **kwargs):
+            scalar_runs.append(config)
+            raise AssertionError("run_experiment must not be called")
+
+        monkeypatch.setattr(BatchFluidSolver, "run_until",
+                            broken_for_loss_based)
+        monkeypatch.setattr(experiment, "run_experiment",
+                            no_scalar_fallback)
+        events = []
+        aggregate = sampler.run_aggregate(n_hosts, workers=1,
+                                          backend="batched",
+                                          events=events.append)
+        broken = sum(len(indices) for key, indices in cohorts.items()
+                     if key[0])  # cohort_key's loss-based flag
+        assert scalar_runs == []
+        assert 0 < broken < n_hosts
+        assert aggregate.failed == broken
+        assert aggregate.hosts == n_hosts - broken
+        failed = [e for e in events if e.get("ev") == "failed"]
+        assert len(failed) == broken
+        assert all(e["failure_kind"] == "error"
+                   and "FloatingPointError('injected')" in e["error"]
+                   for e in failed)
+
 
 class TestFleetAggregate:
     def sample(self, **kwargs):

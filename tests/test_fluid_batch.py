@@ -197,3 +197,25 @@ def test_mixed_cohort_is_rejected():
 def test_empty_batch_is_rejected():
     with pytest.raises(ValueError, match="at least one config"):
         BatchFluidSolver([])
+
+
+def test_non_star_fabric_is_rejected_by_name():
+    """The batch kernel has no fabric stage.  On the bundled dumbbell's
+    static-routing point (dctcp, load 0.18) stepping it as a star would
+    report ~18 Gbps where the scalar fabric stage gives ~7.4 Gbps, so
+    the constructor must refuse the config and name the field."""
+    from repro.core.experiment import run_experiment
+    from repro.core.scenario import load_bundled
+
+    (config,) = [
+        c for c in load_bundled("dumbbell").expand(fidelity="fluid")
+        if c.fabric.routing == "static"
+        and c.workload.offered_load == 0.18]
+    assert config.transport == "dctcp"
+    assert config.fabric.topology == "dumbbell"
+    scalar = run_experiment(config)
+    assert scalar.metrics["app_throughput_gbps"] < 10.0
+    star = make_config("cubic", 0.7, True, True, 8, 0, 10, 4)
+    for configs in ([config], [star, config]):
+        with pytest.raises(ValueError, match="fabric.topology"):
+            BatchFluidSolver(configs)

