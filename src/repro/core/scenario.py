@@ -56,7 +56,7 @@ from typing import (
 )
 
 from repro.core.cache import ResultCache
-from repro.core.config import FIDELITIES, ExperimentConfig
+from repro.core.config import FIDELITIES, ExperimentConfig, SimConfig
 from repro.core.parallel import Workers, run_many
 from repro.core.results import ExperimentResult, ResultTable
 
@@ -427,6 +427,8 @@ class ScenarioSpec:
                 f"{default_quality!r} is not a defined [quality.*] "
                 f"preset (have: {sorted(quality)})")
 
+        if driver == "fleet":
+            _check_fleet_overrides(base, quality, source)
         driver_args = _validate_driver_args(
             data.get("driver_args", {}), driver, source)
         render = _validate_render(data.get("render"), source)
@@ -608,6 +610,17 @@ class ScenarioSpec:
                 f"{self.source}: fleet_sampler() needs driver = "
                 f"'fleet', got {self.driver!r}")
         config = self.base_config(quality, base, fidelity)
+        honoured = ExperimentConfig(
+            fidelity=config.fidelity,
+            sim=SimConfig(warmup=config.sim.warmup,
+                          duration=config.sim.duration))
+        ignored = _differing_paths(config, honoured)
+        if ignored:
+            raise ScenarioError(
+                f"{self.source}: fleet {self.name!r} draws each host's "
+                f"config itself; the base config sets "
+                f"{', '.join(ignored)}, but a fleet honours only "
+                f"{', '.join(_FLEET_OVERRIDES)}")
         sampler = FleetSampler(
             seed=int(self.driver_args.get("seed", 7)),
             warmup=config.sim.warmup,
@@ -785,6 +798,41 @@ def _validate_quality(raw: Any, axes: Tuple[SweepAxis, ...],
         presets[name] = QualityPreset(overrides=overrides,
                                       axis_values=axis_values)
     return presets
+
+
+#: The config paths a fleet spec's ``[base]`` and ``[quality.*]``
+#: tables may set: the sampler draws every other host knob itself.
+_FLEET_OVERRIDES = ("sim.warmup", "sim.duration", "fidelity")
+
+
+def _check_fleet_overrides(base: Mapping[str, Any],
+                           quality: Mapping[str, QualityPreset],
+                           source: str) -> None:
+    tables = [("[base] ", base)] + [
+        (f"[quality.{name}] ", preset.overrides)
+        for name, preset in quality.items()]
+    for context, overrides in tables:
+        for path in overrides:
+            if path not in _FLEET_OVERRIDES:
+                raise ScenarioError(
+                    f"{source}: {context}{path!r}: a fleet draws each "
+                    f"host's config itself and honours only "
+                    f"{', '.join(_FLEET_OVERRIDES)}")
+
+
+def _differing_paths(config, reference, prefix: str = "") -> List[str]:
+    """Dotted paths of the leaves where two config trees differ."""
+    paths: List[str] = []
+    for f in dataclasses.fields(config):
+        ours, theirs = getattr(config, f.name), getattr(reference, f.name)
+        if ours == theirs:
+            continue
+        if dataclasses.is_dataclass(ours):
+            paths.extend(_differing_paths(ours, theirs,
+                                          f"{prefix}{f.name}."))
+        else:
+            paths.append(prefix + f.name)
+    return paths
 
 
 _DRIVER_ARGS = {

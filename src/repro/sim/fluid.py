@@ -46,6 +46,7 @@ __all__ = [
     "FluidRun",
     "FluidSolver",
     "fluid_fabric_profile",
+    "fluid_step",
     "fluid_working_set",
     "message_latency_summary",
     "predicted_misses_per_packet",
@@ -101,6 +102,13 @@ def _cube(x: float) -> float:
 # ``_cube`` hardcodes the exponent; keep it honest against the mirrored
 # curve-shape constant.
 assert QUEUE_GAMMA == 3.0
+
+
+def fluid_step(config: ExperimentConfig) -> float:
+    """The solver's step size: one base RTT (``2 × link.one_way_delay``,
+    the CC update granularity), guarded for degenerate zero-delay
+    links."""
+    return max(2 * config.link.one_way_delay, 1e-6)
 
 
 def _queue_delay(rho: float, max_queue_delay: float) -> float:
@@ -408,9 +416,7 @@ class FluidSolver:
         self.packets_per_read = wl.packets_per_read
         self.n_flows = host.cpu.cores * wl.senders
         self.base_rtt = 2 * config.link.one_way_delay
-        #: Step size: one base RTT (the CC update granularity); guarded
-        #: for degenerate zero-delay links.
-        self.dt = max(self.base_rtt, 1e-6)
+        self.dt = fluid_step(config)
         self.misses_per_packet = predicted_misses_per_packet(config)
         self.serialization = self.wire_bytes * 8 / host.pcie.goodput_bps
         self.antagonist_Bps = (host.antagonist_cores

@@ -33,12 +33,16 @@ whose loss-probability model needs a true ``pow`` (``(1-p)**ppr``);
 it feeds no fleet metric and the equivalence tests hold it to rtol
 instead.
 
-**Structural uniformity.**  Branches that pick a *code path* rather
-than a value — loss- vs delay-based congestion control, open- vs
-closed-loop workload, IOMMU on/off — stay Python ``if``s, so a batch
-must be structurally uniform.  :func:`repro.workload.fleet.cohort_key`
-computes the partition key; the constructor validates it and raises
-``ValueError`` on a mixed cohort.
+**Per-lane structure.**  Branches that pick a *code path* rather than
+a value — loss- vs delay-based congestion control, open- vs
+closed-loop workload, IOMMU on/off — are per-lane boolean masks
+harvested from the built scalar solvers like the constants.  Each step
+evaluates both arms with the scalar expressions and ``np.where`` picks
+the arm the scalar ``if`` would have taken, so one batch holds any mix
+of structures.  What a batch cannot mix is the step size: every lane
+advances by the same ``dt`` (``2 × link.one_way_delay``), so the whole
+batch steps in lock-step and the constructor rejects mixed ``dt`` by
+name (:func:`repro.workload.fleet.cohort_key` is the partition key).
 
 **Why the step is written twice.**  The obvious single-source design
 writes the step once over a tiny ops shim (``where``/``minimum``/
@@ -66,7 +70,7 @@ modules (enforced by ``scripts/check_layering.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -86,7 +90,7 @@ __all__ = ["BatchFluidSolver"]
 #: constant, including the Che-approximation IOTLB miss rate.
 _CONST_ATTRS = (
     "wire_bytes", "payload_bytes", "packets_per_read", "n_flows",
-    "base_rtt", "dt", "misses_per_packet", "antagonist_Bps",
+    "base_rtt", "misses_per_packet", "antagonist_Bps",
     "nic_write_bytes", "copy_bytes_per_packet", "achievable_Bps",
     "max_queue_delay", "walk_base", "walk_fraction", "t_base",
     "littles_bits", "pcie_goodput_bps", "cpu_wire_bps", "cpu_slowdown",
@@ -94,6 +98,10 @@ _CONST_ATTRS = (
     "swift_ai_n", "loss_ai_n", "swift_beta", "swift_max_mdf",
     "min_cwnd", "demand_step_bytes", "min_W", "max_W",
 )
+
+#: Structural flags harvested into per-host boolean masks: each picks
+#: one of two code paths of the scalar step, lane by lane.
+_MASK_ATTRS = ("loss_based", "open_loop", "iommu_on")
 
 #: Mutable per-host state initialized from the freshly built scalar
 #: solvers (so time-zero state matches by construction).
@@ -115,14 +123,15 @@ _ACC_ATTRS = (
 
 
 class BatchFluidSolver:
-    """N structurally-uniform hosts' fluid dynamics, stepped together.
+    """N hosts' fluid dynamics, stepped together in lock-step.
 
-    ``configs`` must agree on the three structural flags (loss- vs
-    delay-based transport, open- vs closed-loop workload, IOMMU
-    enabled); every continuous parameter may vary per host.  Every
-    config must use the one-hop star fabric: the fabric stage exists
-    only in the scalar solver, so any other ``fabric.topology`` is
-    rejected rather than silently stepped as a star.
+    ``configs`` may mix transport family, loop mode and IOMMU state
+    freely, and every continuous parameter may vary per host, but all
+    must share the step size ``dt``: a batch with mixed ``dt`` is
+    rejected.  Every config must use the one-hop star fabric: the
+    fabric stage exists only in the scalar solver, so any other
+    ``fabric.topology`` is rejected rather than silently stepped as a
+    star.
     """
 
     def __init__(self, configs: Sequence[ExperimentConfig]):
@@ -135,22 +144,21 @@ class BatchFluidSolver:
                     f"fabric.topology={config.fabric.topology!r} needs "
                     f"the scalar FluidSolver's fabric stage")
         solvers = [FluidSolver(config) for config in configs]
-        first = solvers[0]
         self.n = len(solvers)
-        self.loss_based = first.loss_based
-        self.open_loop = first.open_loop
-        self.iommu_on = first.iommu_on
-        for solver in solvers:
-            if (solver.loss_based != self.loss_based
-                    or solver.open_loop != self.open_loop
-                    or solver.iommu_on != self.iommu_on):
-                raise ValueError(
-                    "mixed cohort: all configs in a batch must share "
-                    "transport family, loop mode, and IOMMU state "
-                    "(partition with repro.workload.fleet.cohort_key)")
+        steps = {solver.dt for solver in solvers}
+        if len(steps) > 1:
+            raise ValueError(
+                f"mixed dt: all configs in a batch must share the step "
+                f"size dt = 2 * link.one_way_delay, got {sorted(steps)} "
+                f"(partition with repro.workload.fleet.cohort_key)")
+        #: The one step size every lane advances by.
+        self.dt = solvers[0].dt
         for attr in _CONST_ATTRS + _STATE_ATTRS:
             setattr(self, attr, np.array(
                 [getattr(s, attr) for s in solvers], dtype=np.float64))
+        for attr in _MASK_ATTRS:
+            setattr(self, attr, np.array(
+                [getattr(s, attr) for s in solvers], dtype=bool))
         self.n_receivers = np.array(
             [c.workload.receivers for c in configs], dtype=np.float64)
         self.steps = np.zeros(self.n, dtype=np.int64)
@@ -165,39 +173,15 @@ class BatchFluidSolver:
     # -- stepping ------------------------------------------------------------
 
     def run_until(self, until: float) -> None:
-        """Advance every host whose clock is behind ``until`` (same
-        loop guard as the scalar ``run_until``).  Hosts reaching the
-        horizon first freeze while stragglers (shorter ``dt``) catch
-        up, masked so a frozen lane's state and accumulators stay
-        bit-identical to a scalar solver that simply stopped."""
+        """Advance every host while its clock is behind ``until`` (same
+        loop guard as the scalar ``run_until``).  Lanes share ``dt``
+        and start at zero, so their clocks are bitwise equal and lane
+        0's stands for all."""
         limit = until - 1e-12
-        while True:
-            active = self.now < limit
-            if active.all():
-                self._step(None)
-            elif active.any():
-                self._step(active)
-            else:
-                return
+        while self.now[0] < limit:
+            self._step()
 
-    def _step(self, active: Optional[np.ndarray]) -> None:
-        # ``active is None`` means every lane steps: the selectors
-        # collapse to identity, skipping ~20 np.where calls on the
-        # common lock-step path.  np.where(active, new, old) is
-        # bitwise ``new`` on active lanes, so both paths agree.
-        if active is None:
-            def sel(new, old):
-                return new
-
-            def acc(delta):
-                return delta
-        else:
-            def sel(new, old):
-                return np.where(active, new, old)
-
-            def acc(delta):
-                return np.where(active, delta, 0.0)
-
+    def _step(self) -> None:
         dt = self.dt
 
         # Memory bus: NIC DMA writes + CPU copies + antagonist vs the
@@ -212,10 +196,14 @@ class BatchFluidSolver:
         achieved_Bps = np.minimum(total_Bps, self.achievable_Bps)
 
         # NIC-stage capacity: Little's-law PCIe bound, goodput-capped.
+        # Structural branches below compute both arms for every lane
+        # with the scalar expressions, then np.where picks the arm the
+        # scalar ``if`` would have taken.
         t_total = self.t_base + queue_delay
-        if self.iommu_on:
-            walk = self.walk_base + self.walk_fraction * queue_delay
-            t_total = t_total + self.misses_per_packet * walk
+        walk = self.walk_base + self.walk_fraction * queue_delay
+        t_total = np.where(self.iommu_on,
+                           t_total + self.misses_per_packet * walk,
+                           t_total)
         littles = self.littles_bits / t_total
         nic_bps = np.minimum(littles, self.pcie_goodput_bps)
 
@@ -224,17 +212,16 @@ class BatchFluidSolver:
         cpu_bps = self.cpu_wire_bps * (1.0 - self.cpu_slowdown * rho_c)
 
         # Arrivals: window-limited closed loop / open-loop demand drain.
+        open_loop = self.open_loop
         rtt_eff = self.base_rtt + self._host_delay
         window_bps = self.W * self.wire_bits / rtt_eff
-        if self.open_loop:
-            q_demand = self.q_demand + self.demand_step_bytes
-            arrival_bps = np.minimum(
-                np.minimum(window_bps, q_demand * 8 / dt),
-                self.link_rate_bps)
-            q_demand = np.maximum(
-                q_demand - arrival_bps / 8 * dt, 0.0)
-        else:
-            arrival_bps = np.minimum(window_bps, self.link_rate_bps)
+        q_demand = self.q_demand + self.demand_step_bytes
+        arrival_bps = np.where(
+            open_loop,
+            np.minimum(np.minimum(window_bps, q_demand * 8 / dt),
+                       self.link_rate_bps),
+            np.minimum(window_bps, self.link_rate_bps))
+        q_demand = np.maximum(q_demand - arrival_bps / 8 * dt, 0.0)
 
         # NIC stage: bounded buffer, tail drop on overflow.
         inflow = arrival_bps / 8 * dt
@@ -244,8 +231,8 @@ class BatchFluidSolver:
         level = nic_backlog - dma_bytes
         dropped_bytes = np.maximum(level - self.buffer_bytes, 0.0)
         q_nic = np.minimum(level, self.buffer_bytes)
-        if self.open_loop:
-            q_demand = q_demand + dropped_bytes
+        q_demand = np.where(open_loop, q_demand + dropped_bytes,
+                            self.q_demand)
         nic_Bps = np.maximum(nic_bps / 8, 1.0)
         nic_delay = t_total + q_nic / nic_Bps
 
@@ -257,25 +244,23 @@ class BatchFluidSolver:
         cpu_Bps = np.maximum(cpu_bps / 8, 1.0)
         host_delay = nic_delay + q_cpu / cpu_Bps
 
-        # Aggregate AIMD against the one-RTT-delayed signal: both
-        # branch outcomes are computed for every lane with the scalar
-        # expressions, then np.where picks the lane the scalar ``if``
-        # would have taken.
+        # Aggregate AIMD against the one-RTT-delayed signal: loss-based
+        # lanes grow until a loss round, Swift lanes until the delay
+        # signal reaches the target.
+        loss_based = self.loss_based
         signal = self._delayed_signal
         now = self.now
         W = self.W
         can_cut = now - self._last_decrease >= rtt_eff
-        if self.loss_based:
-            grow = self._delayed_loss <= 0.0
-            W_grown = W + self.loss_ai_n * dt / rtt_eff
-            W_cut = W * LOSS_CC_BETA
-        else:
-            grow = signal < self.swift_target
-            W_grown = W + self.swift_ai_n * dt / rtt_eff
-            mdf = np.minimum(
-                self.swift_beta * (signal - self.swift_target) / signal,
-                self.swift_max_mdf)
-            W_cut = W * (1.0 - mdf)
+        grow = np.where(loss_based, self._delayed_loss <= 0.0,
+                        signal < self.swift_target)
+        W_grown = np.where(loss_based,
+                           W + self.loss_ai_n * dt / rtt_eff,
+                           W + self.swift_ai_n * dt / rtt_eff)
+        mdf = np.minimum(
+            self.swift_beta * (signal - self.swift_target) / signal,
+            self.swift_max_mdf)
+        W_cut = np.where(loss_based, W * LOSS_CC_BETA, W * (1.0 - mdf))
         cut = ~grow & can_cut
         W_new = np.where(grow, W_grown, np.where(can_cut, W_cut, W))
         W_new = np.minimum(np.maximum(W_new, self.min_W), self.max_W)
@@ -286,20 +271,19 @@ class BatchFluidSolver:
         dropped = dropped_bytes / self.wire_bytes
         dma = dma_bytes / self.wire_bytes
         drained = done_bytes / self.wire_bytes
-        self.elapsed += acc(dt)
-        self.rx_packets += acc(rx)
-        self.dropped_packets += acc(dropped)
-        self.dma_packets += acc(dma)
-        self.drained_packets += acc(drained)
-        self.drained_payload_bytes += acc(drained * self.payload_bytes)
-        self.retransmissions += acc(dropped)
-        self.dma_latency_weighted += acc(t_total * dma)
-        self.nic_delay_weighted += acc(nic_delay * dma)
-        self.utilization_integral += acc(rho * dt)
-        self.achieved_bw_integral += acc(achieved_Bps * dt)
-        self.cwnd_integral += acc(W_new / self.n_flows * dt)
-        self.peak_queue_bytes = np.maximum(self.peak_queue_bytes,
-                                           acc(q_nic))
+        self.elapsed += dt
+        self.rx_packets += rx
+        self.dropped_packets += dropped
+        self.dma_packets += dma
+        self.drained_packets += drained
+        self.drained_payload_bytes += drained * self.payload_bytes
+        self.retransmissions += dropped
+        self.dma_latency_weighted += t_total * dma
+        self.nic_delay_weighted += nic_delay * dma
+        self.utilization_integral += rho * dt
+        self.achieved_bw_integral += achieved_Bps * dt
+        self.cwnd_integral += W_new / self.n_flows * dt
+        self.peak_queue_bytes = np.maximum(self.peak_queue_bytes, q_nic)
         # Timeout synthesis (the scalar ``drained > 0`` branch).  The
         # loss-probability model needs a true pow, whose numpy kernel
         # differs from libm in the last ulp — ``timeouts`` feeds no
@@ -309,30 +293,22 @@ class BatchFluidSolver:
         np.minimum(p_pkt, 1.0, out=p_pkt)
         messages = drained / self.packets_per_read
         p_msg = 1.0 - (1.0 - p_pkt) ** self.packets_per_read
-        synth = drained > 0.0
-        if active is not None:
-            synth &= active
-        self.timeouts += np.where(synth, messages * (p_msg * p_pkt),
-                                  0.0)
+        self.timeouts += np.where(drained > 0.0,
+                                  messages * (p_msg * p_pkt), 0.0)
 
         # Roll the delayed signals forward one step.
-        old_host_delay = self._host_delay
-        self._delayed_signal = sel(old_host_delay, self._delayed_signal)
-        self._host_delay = sel(host_delay, old_host_delay)
-        self._delayed_loss = sel(dropped_bytes, self._delayed_loss)
-        self._nic_drain_pps = sel(dma / dt, self._nic_drain_pps)
-        self._cpu_drain_pps = sel(drained / dt, self._cpu_drain_pps)
-        self.W = sel(W_new, W)
-        self._last_decrease = sel(last_decrease, self._last_decrease)
-        self.q_nic = sel(q_nic, self.q_nic)
-        self.q_cpu = sel(q_cpu, self.q_cpu)
-        if self.open_loop:
-            self.q_demand = sel(q_demand, self.q_demand)
-        self.now = self.now + acc(dt)
-        if active is None:
-            self.steps += 1
-        else:
-            self.steps += active
+        self._delayed_signal = self._host_delay
+        self._host_delay = host_delay
+        self._delayed_loss = dropped_bytes
+        self._nic_drain_pps = dma / dt
+        self._cpu_drain_pps = drained / dt
+        self.W = W_new
+        self._last_decrease = last_decrease
+        self.q_nic = q_nic
+        self.q_cpu = q_cpu
+        self.q_demand = q_demand
+        self.now = now + dt
+        self.steps += 1
 
     # -- reporting -----------------------------------------------------------
 

@@ -39,12 +39,15 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 from repro.core.config import (
     CpuConfig,
     ExperimentConfig,
+    FabricConfig,
     HostConfig,
     IommuConfig,
+    LinkConfig,
     SimConfig,
+    SwiftConfig,
     WorkloadConfig,
 )
-from repro.sim.fluid import LOSS_BASED_TRANSPORTS
+from repro.sim.fluid import fluid_step
 from repro.workload.fleet_agg import (
     FleetAggregate,
     FleetCheckpoint,
@@ -65,28 +68,27 @@ ProgressFn = Callable[[int, int], None]
 EventFn = Callable[[Dict], None]
 
 
-def cohort_key(config: ExperimentConfig) -> tuple:
-    """The structural code-path key of a drawn host config.
+def cohort_key(config: ExperimentConfig) -> float:
+    """The batch key of a drawn host config: its fluid step size ``dt``
+    (``2 × link.one_way_delay``).
 
-    Two configs with equal keys follow the same branches through
-    ``FluidSolver.step`` — loss- vs delay-based congestion control,
-    open- vs closed-loop workload, IOMMU on/off — and differ only in
-    continuous parameters, so they can share one
-    :class:`~repro.sim.fluid_batch.BatchFluidSolver` batch.  A pure
-    function of the config: identical configs always share a cohort.
+    A :class:`~repro.sim.fluid_batch.BatchFluidSolver` steps all its
+    lanes in lock-step and picks each lane's transport family, loop
+    mode and IOMMU arm by mask, so ``dt`` is the one thing that still
+    forces separate batches.  The fleet population shares one link, so
+    a fleet range is one batch.  A pure function of the config:
+    identical configs always share a cohort.
     """
-    return (config.transport in LOSS_BASED_TRANSPORTS,
-            config.workload.offered_load is None,
-            config.host.iommu.enabled)
+    return fluid_step(config)
 
 
-def group_cohorts(indexed_configs) -> Dict[tuple, List[int]]:
-    """Partition ``(index, config)`` pairs into structural cohorts.
+def group_cohorts(indexed_configs) -> Dict[float, List[int]]:
+    """Partition ``(index, config)`` pairs into step-size cohorts.
 
     Returns ``{cohort_key: [index, ...]}`` with indices in encounter
     order; every input index lands in exactly one cohort.
     """
-    groups: Dict[tuple, List[int]] = {}
+    groups: Dict[float, List[int]] = {}
     for index, config in indexed_configs:
         groups.setdefault(cohort_key(config), []).append(index)
     return groups
@@ -172,6 +174,15 @@ class FleetSampler:
         #: all RNG draws, so packet and fluid fleets share a
         #: byte-identical host population.
         self.fidelity = fidelity
+        # Frozen sub-configs shared across drawn hosts (draw_config).
+        # The draws' choice sets are finite, so the memos stay at a
+        # few hundred entries; each entry validated itself once, when
+        # first built.
+        self._link = LinkConfig()
+        self._fabric = FabricConfig()
+        self._swift = SwiftConfig()
+        self._hosts: Dict[tuple, HostConfig] = {}
+        self._workloads: Dict[tuple, WorkloadConfig] = {}
 
     #: Host classes and their fleet shares.  Stratified sampling: a
     #: production fleet is a mix of host populations, and stratifying
@@ -222,16 +233,27 @@ class FleetSampler:
         # The paper's cluster "runs both the Linux kernel and SNAP
         # network stacks, with TCP and Swift" — an even mix.
         transport = rng.choice(("swift", "cubic"))
-        return ExperimentConfig(
-            host=HostConfig(
+        host_key = (cores, iommu_on, hugepages, region_mb, antagonist)
+        host = self._hosts.get(host_key)
+        if host is None:
+            host = self._hosts[host_key] = HostConfig(
                 cpu=CpuConfig(cores=cores),
                 iommu=IommuConfig(enabled=iommu_on),
                 hugepages=hugepages,
                 rx_region_bytes=region_mb * 2**20,
                 antagonist_cores=antagonist,
-            ),
-            workload=WorkloadConfig(senders=senders,
-                                    offered_load=offered),
+            )
+        workload_key = (senders, offered)
+        workload = self._workloads.get(workload_key)
+        if workload is None:
+            workload = self._workloads[workload_key] = WorkloadConfig(
+                senders=senders, offered_load=offered)
+        return ExperimentConfig(
+            host=host,
+            link=self._link,
+            fabric=self._fabric,
+            workload=workload,
+            swift=self._swift,
             transport=transport,
             fidelity=self.fidelity,
             sim=SimConfig(
@@ -348,8 +370,8 @@ class FleetSampler:
         """Batch-solve hosts ``[start, stop)`` into a partial aggregate.
 
         The body of one batched-fleet task: draw the range's configs,
-        partition them into structural cohorts (:func:`group_cohorts`),
-        step each cohort through one
+        partition them by step size (:func:`group_cohorts` — one cohort
+        for the fleet population), step each cohort through one
         :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and fold the
         per-host outcomes — in index order — into a fresh
         :class:`FleetAggregate`.  A cohort whose batch solve raises is
@@ -465,7 +487,7 @@ class FleetSampler:
         whenever fidelity is fluid — each shard is cut into
         ``batch_size``-host ranges, every range is one pool task
         (:func:`repro.core.parallel.map_stream`) that re-derives its
-        configs in-worker and vectorizes them per structural cohort
+        configs in-worker and vectorizes them per step-size cohort
         through :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and
         the returned partial aggregates merge in index order.  The
         per-host outcomes are bit-identical to the scalar backend's

@@ -1,7 +1,9 @@
 """Tests for the Figure-1 fleet sampler and its streaming pipeline."""
 
+import dataclasses
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -10,6 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import (
+    CpuConfig,
+    ExperimentConfig,
+    HostConfig,
+    IommuConfig,
+    SimConfig,
+    WorkloadConfig,
+)
 from repro.workload.fleet import FleetSample, FleetSampler, substream_seed
 from repro.workload.fleet_agg import (
     FleetAggregate,
@@ -73,6 +83,73 @@ def test_draw_config_is_order_independent():
     backward = [FleetSampler(seed=11).draw_config(i).describe()
                 for i in reversed(range(12))]
     assert forward == list(reversed(backward))
+
+
+def _draw_from_scratch(sampler, index):
+    """Host ``index``'s config with every sub-config built afresh: the
+    same RNG calls in the same order as ``FleetSampler.draw_config``,
+    minus its memoised parts."""
+    rng = random.Random(substream_seed(sampler.seed, index))
+    host_class = sampler._draw_class(index)
+    iommu_on = rng.random() < 0.85
+    hugepages = True
+    antagonist = 0
+    if host_class == "lean":
+        cores = rng.choice((2, 4, 6, 8, 10, 12))
+        offered = rng.choice((0.25, 0.4, 0.55, 0.7))
+        antagonist = rng.choice((0, 0, 0, 4))
+    elif host_class == "incast-heavy":
+        cores = rng.choice((8, 10, 12, 14, 16))
+        offered = rng.choice((None, None, 0.95))
+    elif host_class == "antagonized":
+        cores = rng.choice((8, 10, 12, 16))
+        antagonist = rng.choice((8, 12, 15, 15))
+        offered = rng.choice((None, 0.55, 0.7, 0.85))
+    else:
+        hugepages = False
+        cores = rng.choice((8, 12, 16))
+        antagonist = rng.choice((0, 8, 12, 15))
+        offered = rng.choice((None, 0.55, 0.7))
+    region_mb = rng.choice((4, 8, 12, 16))
+    senders = rng.choice((10, 20, 40))
+    transport = rng.choice(("swift", "cubic"))
+    return ExperimentConfig(
+        host=HostConfig(
+            cpu=CpuConfig(cores=cores),
+            iommu=IommuConfig(enabled=iommu_on),
+            hugepages=hugepages,
+            rx_region_bytes=region_mb * 2**20,
+            antagonist_cores=antagonist,
+        ),
+        workload=WorkloadConfig(senders=senders, offered_load=offered),
+        transport=transport,
+        fidelity=sampler.fidelity,
+        sim=SimConfig(warmup=sampler.warmup, duration=sampler.duration,
+                      seed=rng.randrange(1, 2**31)),
+    )
+
+
+def _assert_fields_equal(got, want, path="config"):
+    assert type(got) is type(want), path
+    if dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_fields_equal(getattr(got, field.name),
+                                 getattr(want, field.name),
+                                 f"{path}.{field.name}")
+    else:
+        assert got == want, path
+
+
+def test_memoised_draw_equals_config_built_from_scratch():
+    sampler = FleetSampler(seed=13, warmup=0.5e-3, duration=1e-3,
+                           fidelity="fluid")
+    configs = [sampler.draw_config(i) for i in range(400)]
+    for index, config in enumerate(configs):
+        _assert_fields_equal(config, _draw_from_scratch(sampler, index))
+    # The memo shares sub-configs: far fewer distinct host trees than
+    # hosts, and one link per sampler.
+    assert len({id(c.host) for c in configs}) < 200
+    assert len({id(c.link) for c in configs}) == 1
 
 
 def test_shard_bounds_partition_exactly():
@@ -285,21 +362,19 @@ class TestBatchedBackend:
 
     def test_cohort_whose_batch_solve_raises_is_counted_failed(
             self, monkeypatch):
-        """A cohort the batch kernel cannot solve is folded as failed
-        hosts, loudly — not silently re-run on the scalar engine."""
+        """A range the batch kernel cannot solve is folded as failed
+        hosts, loudly — not silently re-run on the scalar engine — and
+        the other ranges still fold."""
         from repro.core import experiment
         from repro.sim.fluid_batch import BatchFluidSolver
-        from repro.workload.fleet import group_cohorts
 
         sampler = self.sampler()
-        n_hosts = 40
-        cohorts = group_cohorts(
-            (i, sampler.draw_config(i)) for i in range(n_hosts))
-        assert len(cohorts) > 1
         run_until = BatchFluidSolver.run_until
 
-        def broken_for_loss_based(self, until):
-            if self.loss_based:
+        # batch_size 16 over 40 hosts: ranges of 16, 16 and 8 lanes;
+        # the ragged last range [32, 40) is the one that breaks.
+        def broken_for_last_range(self, until):
+            if self.n == 8:
                 raise FloatingPointError("injected")
             run_until(self, until)
 
@@ -310,24 +385,24 @@ class TestBatchedBackend:
             raise AssertionError("run_experiment must not be called")
 
         monkeypatch.setattr(BatchFluidSolver, "run_until",
-                            broken_for_loss_based)
+                            broken_for_last_range)
         monkeypatch.setattr(experiment, "run_experiment",
                             no_scalar_fallback)
         events = []
-        aggregate = sampler.run_aggregate(n_hosts, workers=1,
+        aggregate = sampler.run_aggregate(40, workers=1,
                                           backend="batched",
+                                          batch_size=16,
                                           events=events.append)
-        broken = sum(len(indices) for key, indices in cohorts.items()
-                     if key[0])  # cohort_key's loss-based flag
         assert scalar_runs == []
-        assert 0 < broken < n_hosts
-        assert aggregate.failed == broken
-        assert aggregate.hosts == n_hosts - broken
+        assert aggregate.failed == 8
+        assert aggregate.hosts == 32
         failed = [e for e in events if e.get("ev") == "failed"]
-        assert len(failed) == broken
+        assert sorted(e["index"] for e in failed) == list(range(32, 40))
         assert all(e["failure_kind"] == "error"
                    and "FloatingPointError('injected')" in e["error"]
                    for e in failed)
+        finished = [e for e in events if e.get("ev") == "finished"]
+        assert sorted(e["index"] for e in finished) == list(range(32))
 
 
 class TestFleetAggregate:

@@ -10,6 +10,7 @@ accumulator, and headline-metric equality, plus the cohort-grouping
 invariants the fleet driver relies on (exact partition; a key never
 splits identical configs)."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from repro.core.config import (
     ExperimentConfig,
     HostConfig,
     IommuConfig,
+    LinkConfig,
     SimConfig,
     WorkloadConfig,
 )
@@ -112,9 +114,9 @@ def test_single_lane_matches_scalar_bit_for_bit(config):
        start=st.integers(min_value=0, max_value=997))
 def test_fleet_cohorts_match_scalar_per_host(seed, start):
     """A window of the real fleet population, batched cohort by
-    cohort, must reproduce every host's scalar trajectory — including
-    hosts frozen by the active mask while slower-``dt`` cohort-mates
-    catch up."""
+    cohort (one cohort: the population shares one ``dt``), must
+    reproduce every host's scalar trajectory — lanes of every
+    transport, loop and IOMMU combination stepped side by side."""
     sampler = FleetSampler(seed=seed, warmup=WARMUP,
                            duration=DURATION, fidelity="fluid")
     indexed = [(i, sampler.draw_config(i))
@@ -181,17 +183,29 @@ def test_cohort_key_never_splits_identical_configs(config):
     assert list(cohorts.values()) == [[0, 1, 2]]
 
 
-def test_mixed_cohort_is_rejected():
+@settings(max_examples=15, deadline=None)
+@given(configs=st.lists(config_space, min_size=2, max_size=6))
+def test_mixed_structure_batch_matches_scalar_per_lane(configs):
+    """One batch mixing transport family, loop mode and IOMMU state
+    must reproduce every lane's scalar trajectory: the per-lane masks
+    pick each lane's arm exactly as the scalar ``if``s would."""
+    batch = BatchFluidSolver(configs)
+    batch.run_until(WARMUP)
+    batch.reset_stats()
+    batch.run_until(END)
+    for lane, config in enumerate(configs):
+        assert_lane_matches_scalar(batch, lane, solve_scalar(config))
+
+
+def test_mixed_dt_is_rejected_by_name():
     swift = make_config("swift", None, True, True, 8, 0, 10, 4)
-    cubic = make_config("cubic", None, True, True, 8, 0, 10, 4)
-    open_loop = make_config("swift", 0.7, True, True, 8, 0, 10, 4)
-    no_iommu = make_config("swift", None, False, True, 8, 0, 10, 4)
-    for other in (cubic, open_loop, no_iommu):
-        with pytest.raises(ValueError, match="mixed cohort"):
-            BatchFluidSolver([swift, other])
-    assert cohort_key(swift) != cohort_key(cubic)
-    assert cohort_key(swift) != cohort_key(open_loop)
-    assert cohort_key(swift) != cohort_key(no_iommu)
+    slow = dataclasses.replace(
+        swift, link=LinkConfig(one_way_delay=2 * swift.link.one_way_delay))
+    with pytest.raises(ValueError, match="mixed dt"):
+        BatchFluidSolver([swift, slow])
+    assert cohort_key(swift) != cohort_key(slow)
+    cubic = make_config("cubic", 0.7, False, False, 2, 15, 40, 16)
+    assert cohort_key(swift) == cohort_key(cubic)
 
 
 def test_empty_batch_is_rejected():

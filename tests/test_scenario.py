@@ -169,6 +169,68 @@ driver = "fleet"
 n_hostsies = 5
 """)
 
+    @pytest.mark.parametrize("key, value", (
+        ("transport", '"dctcp"'),
+        ("host.cpu.cores", "2"),
+        ("fabric.topology", '"fattree"'),
+    ))
+    def test_fleet_base_key_the_sampler_draws_is_rejected(self, key,
+                                                          value):
+        with pytest.raises(ScenarioError, match=key) as err:
+            spec_from(f"""
+[scenario]
+name = "t"
+driver = "fleet"
+
+[base]
+"{key}" = {value}
+""")
+        assert "[base]" in str(err.value)
+
+    def test_fleet_quality_key_the_sampler_draws_is_rejected(self):
+        with pytest.raises(ScenarioError,
+                           match=r"\[quality.quick\].*host.iommu.enabled"):
+            spec_from("""
+[scenario]
+name = "t"
+driver = "fleet"
+
+[quality.quick]
+"sim.warmup" = 1e-3
+"host.iommu.enabled" = false
+""")
+
+    def test_fleet_honours_sim_window_and_fidelity(self):
+        spec = spec_from("""
+[scenario]
+name = "t"
+driver = "fleet"
+
+[base]
+"fidelity" = "fluid"
+
+[quality.quick]
+"sim.warmup" = 1e-3
+"sim.duration" = 2e-3
+""")
+        sampler, _ = spec.fleet_sampler(quality="quick")
+        assert (sampler.warmup, sampler.duration) == (1e-3, 2e-3)
+        assert sampler.fidelity == "fluid"
+
+    def test_fleet_sampler_rejects_base_config_it_would_ignore(self):
+        spec = load_bundled("figure1")
+        window = dataclasses.replace(
+            ExperimentConfig().sim, warmup=1e-3, duration=2e-3)
+        sampler, _ = spec.fleet_sampler(
+            quality="quick", base=ExperimentConfig(sim=window))
+        assert sampler.warmup == spec.quality["quick"].overrides[
+            "sim.warmup"]
+        ignored = dataclasses.replace(
+            baseline_config(hugepages=False), transport="dctcp")
+        with pytest.raises(ScenarioError,
+                           match="host.hugepages, transport"):
+            spec.fleet_sampler(base=ignored)
+
     def test_render_where_key_must_be_run_parameter(self):
         with pytest.raises(ScenarioError, match="iommu_enabled"):
             spec_from(MINIMAL + """
