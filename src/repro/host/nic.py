@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 from repro.core.config import NicConfig
 from repro.host.addressing import ThreadLayout
-from repro.host.iommu import Iommu
+from repro.host.iommu import ZERO_TRANSLATION, Iommu
 from repro.host.memory import MemoryController, TrafficCounter
 from repro.host.pcie import PcieLink
 from repro.net.packet import Ack, Packet
@@ -88,6 +88,7 @@ class Nic(Component):
         self.iommu = iommu
         self.memory = memory
         self.layouts = layouts
+        #: Feeds page choice only, so an IOMMU-off NIC never draws.
         self.rng = rng
         self.deliver = deliver
         self.tracer = tracer
@@ -181,7 +182,7 @@ class Nic(Component):
         if occupied + pkt.wire_bytes > self.config.buffer_bytes:
             self.dropped_packets += 1
             self.dropped_bytes += pkt.wire_bytes
-            if self.tracer:
+            if self.tracer is not None and self.tracer.enabled:
                 self.tracer.emit("nic", "drop", flow=pkt.flow_id,
                                  seq=pkt.seq, occupied=occupied)
             pkt.release()
@@ -213,14 +214,19 @@ class Nic(Component):
             start_dma(pkt)
 
     def _start_dma(self, pkt: Packet) -> None:
-        layout = self.layouts[pkt.thread_id]
-        pages = layout.payload_pages(self.rng, pkt.payload_bytes)
-        # Connection state is touched twice per packet: the posted-WQE
-        # read and the flow-state update live on independent pages.
-        pages.append(layout.conn_state_page(self.rng))
-        pages.append(layout.conn_state_page(self.rng))
-        pages += layout.rx_control_pages()
-        translation = self.iommu.translate(pages)
+        if self.iommu.config.enabled:
+            layout = self.layouts[pkt.thread_id]
+            pages = layout.payload_pages(self.rng, pkt.payload_bytes)
+            # Connection state is touched twice per packet: the
+            # posted-WQE read and the flow-state update live on
+            # independent pages.
+            pages.append(layout.conn_state_page(self.rng))
+            pages.append(layout.conn_state_page(self.rng))
+            pages += layout.rx_control_pages()
+            translation = self.iommu.translate(pages)
+        else:
+            # No translation, so the pages are never looked up.
+            translation = ZERO_TRANSLATION
         pcie_delay = self.pcie.occupy(pkt.wire_bytes)
         mem_latency = self.memory.dma_write_latency()
         total = (self.pcie.config.dma_fixed_latency
@@ -266,7 +272,7 @@ class Nic(Component):
             self._host_delay_pending.append(nic_delay * 1e6)
         self._traffic.bytes_pending += (pkt.payload_bytes
                                         + _CONTROL_WRITE_BYTES)
-        if self.tracer:
+        if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit("nic", "dma_done", flow=pkt.flow_id,
                              seq=pkt.seq)
             self.tracer.end(span)
@@ -292,11 +298,11 @@ class Nic(Component):
             # Coalesced away; a later ACK will carry this acknowledgment.
             return
         self._ack_countdown = self.config.ack_coalescing
-        layout = self.layouts[thread_id]
-        pages = layout.tx_control_pages(self.rng)
-        translation = self.iommu.translate(pages)
         self.acks_sent += 1
-        latency = _ACK_TX_LATENCY + translation.latency
+        latency = _ACK_TX_LATENCY
+        if self.iommu.config.enabled:
+            pages = self.layouts[thread_id].tx_control_pages(self.rng)
+            latency += self.iommu.translate(pages).latency
         self.sim.call(latency, on_wire, ack)
 
     # -- telemetry ----------------------------------------------------------

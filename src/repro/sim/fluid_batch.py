@@ -4,8 +4,8 @@
 :class:`repro.sim.fluid.FluidSolver`: every piece of per-host state
 (congestion window, NIC/CPU queue levels, open-loop demand backlog,
 delayed congestion signals, accumulators) becomes a shape-``(N,)``
-float64 array, and one :meth:`step` advances all N hosts with ~60
-elementwise numpy operations instead of N trips through the scalar
+float64 array, and one :meth:`step` advances all N hosts with about
+90 elementwise numpy operations instead of N trips through the scalar
 step.  The scalar solver costs a few microseconds of interpreter per
 host per step; batched, the per-step cost is amortized across the
 whole cohort, which is where the fleet driver's order-of-magnitude
@@ -28,10 +28,10 @@ association and operation order, relying on three facts:
   precisely because ``pow`` kernels differ between libm and numpy in
   the last ulp.
 
-The only knowingly inexact output is the ``timeouts`` accumulator,
-whose loss-probability model needs a true ``pow`` (``(1-p)**ppr``);
-it feeds no fleet metric and the equivalence tests hold it to rtol
-instead.
+A subexpression the scalar step evaluates more than once (``nic_bps /
+8``, ``arrival_bps / 8 * dt``), or a per-lane constant product
+(``ai_n * dt``), is computed once and reused: the same IEEE op on the
+same operands gives the same bits.
 
 **Per-lane structure.**  Branches that pick a *code path* rather than
 a value — loss- vs delay-based congestion control, open- vs
@@ -60,8 +60,15 @@ held equal by the bitwise equivalence tests.
 Per-host latency/delay *distributions* (``latency_pairs``,
 ``delay_pairs``, ``step_trace``) are deliberately not materialized:
 the fleet folds scalar headline metrics only, and keeping those lists
-would put a Python list append back into the hot loop.  Use the scalar
-solver when the message-latency percentiles of one host matter.
+would put a Python list append back into the hot loop.  Likewise the
+batch keeps only the accumulators :meth:`BatchFluidSolver.fleet_metrics`
+folds (``elapsed``, ``rx_packets``, ``dropped_packets``,
+``drained_payload_bytes``): at fleet batch sizes each numpy op costs
+microseconds, so step cost tracks op count, and the DMA/drain counts,
+latency and utilization integrals, peak queue and timeout model would
+cost a third of the step for numbers nothing reads.  Use the scalar
+solver when any of those, or the message-latency percentiles of one
+host, matter.
 
 Layering: kernel (layer 0), like ``repro.sim.fluid`` — imports only
 numpy, its ``repro.sim`` neighbours and the pinned kernel config
@@ -89,14 +96,13 @@ __all__ = ["BatchFluidSolver"]
 #: the config tree) keeps one source of truth for every derived
 #: constant, including the Che-approximation IOTLB miss rate.
 _CONST_ATTRS = (
-    "wire_bytes", "payload_bytes", "packets_per_read", "n_flows",
-    "base_rtt", "misses_per_packet", "antagonist_Bps",
-    "nic_write_bytes", "copy_bytes_per_packet", "achievable_Bps",
-    "max_queue_delay", "walk_base", "walk_fraction", "t_base",
-    "littles_bits", "pcie_goodput_bps", "cpu_wire_bps", "cpu_slowdown",
-    "link_rate_bps", "buffer_bytes", "wire_bits", "swift_target",
-    "swift_ai_n", "loss_ai_n", "swift_beta", "swift_max_mdf",
-    "min_cwnd", "demand_step_bytes", "min_W", "max_W",
+    "wire_bytes", "payload_bytes", "base_rtt", "misses_per_packet",
+    "antagonist_Bps", "nic_write_bytes", "copy_bytes_per_packet",
+    "achievable_Bps", "max_queue_delay", "walk_base", "walk_fraction",
+    "t_base", "littles_bits", "pcie_goodput_bps", "cpu_wire_bps",
+    "cpu_slowdown", "link_rate_bps", "buffer_bytes", "wire_bits",
+    "swift_target", "swift_ai_n", "loss_ai_n", "swift_beta",
+    "swift_max_mdf", "demand_step_bytes", "min_W", "max_W",
 )
 
 #: Structural flags harvested into per-host boolean masks: each picks
@@ -111,14 +117,10 @@ _STATE_ATTRS = (
     "_cpu_drain_pps", "_last_decrease",
 )
 
-#: Measurement-window accumulators (the array form of ``FluidRun``,
-#: minus the per-step pair lists — see module docstring).
+#: Measurement-window accumulators: the ``FluidRun`` fields that
+#: :meth:`BatchFluidSolver.fleet_metrics` folds (see module docstring).
 _ACC_ATTRS = (
-    "elapsed", "rx_packets", "dropped_packets", "dma_packets",
-    "drained_packets", "drained_payload_bytes", "retransmissions",
-    "timeouts", "dma_latency_weighted", "nic_delay_weighted",
-    "utilization_integral", "achieved_bw_integral", "cwnd_integral",
-    "peak_queue_bytes",
+    "elapsed", "rx_packets", "dropped_packets", "drained_payload_bytes",
 )
 
 
@@ -159,6 +161,10 @@ class BatchFluidSolver:
         for attr in _MASK_ATTRS:
             setattr(self, attr, np.array(
                 [getattr(s, attr) for s in solvers], dtype=bool))
+        #: Per-lane ``ai_n * dt`` of the lane's transport family (the
+        #: scalar ``W + ai_n * dt / rtt_eff`` multiplies first).
+        self._ai_dt = np.where(self.loss_based, self.loss_ai_n * self.dt,
+                               self.swift_ai_n * self.dt)
         self.n_receivers = np.array(
             [c.workload.receivers for c in configs], dtype=np.float64)
         self.steps = np.zeros(self.n, dtype=np.int64)
@@ -185,7 +191,7 @@ class BatchFluidSolver:
         dt = self.dt
 
         # Memory bus: NIC DMA writes + CPU copies + antagonist vs the
-        # achievable bandwidth -> utilization, queue delay, achieved BW.
+        # achievable bandwidth -> utilization and queue delay.
         total_Bps = (self._nic_drain_pps * self.nic_write_bytes
                      + self._cpu_drain_pps * self.copy_bytes_per_packet
                      + self.antagonist_Bps)
@@ -193,7 +199,6 @@ class BatchFluidSolver:
         x = np.minimum((rho - QUEUE_KNEE) / _KNEE_SPAN, 1.0)
         queue_delay = np.where(rho <= QUEUE_KNEE, 0.0,
                                self.max_queue_delay * (x * x * x))
-        achieved_Bps = np.minimum(total_Bps, self.achievable_Bps)
 
         # NIC-stage capacity: Little's-law PCIe bound, goodput-capped.
         # Structural branches below compute both arms for every lane
@@ -205,44 +210,43 @@ class BatchFluidSolver:
                            t_total + self.misses_per_packet * walk,
                            t_total)
         littles = self.littles_bits / t_total
-        nic_bps = np.minimum(littles, self.pcie_goodput_bps)
+        nic_Bps = np.minimum(littles, self.pcie_goodput_bps) / 8
 
         # CPU-stage capacity: per-core rate slowed by bus contention.
         rho_c = np.minimum(rho, 1.0)
-        cpu_bps = self.cpu_wire_bps * (1.0 - self.cpu_slowdown * rho_c)
+        cpu_Bps = (self.cpu_wire_bps
+                   * (1.0 - self.cpu_slowdown * rho_c)) / 8
 
         # Arrivals: window-limited closed loop / open-loop demand drain.
+        # ``min`` is exact, so capping both arms at the link rate after
+        # the select is the scalar three-way ``min`` bit for bit.
         open_loop = self.open_loop
         rtt_eff = self.base_rtt + self._host_delay
         window_bps = self.W * self.wire_bits / rtt_eff
         q_demand = self.q_demand + self.demand_step_bytes
-        arrival_bps = np.where(
-            open_loop,
-            np.minimum(np.minimum(window_bps, q_demand * 8 / dt),
-                       self.link_rate_bps),
-            np.minimum(window_bps, self.link_rate_bps))
-        q_demand = np.maximum(q_demand - arrival_bps / 8 * dt, 0.0)
+        arrival_bps = np.minimum(
+            np.where(open_loop,
+                     np.minimum(window_bps, q_demand * 8 / dt),
+                     window_bps),
+            self.link_rate_bps)
+        inflow = arrival_bps / 8 * dt
+        q_demand = np.maximum(q_demand - inflow, 0.0)
 
         # NIC stage: bounded buffer, tail drop on overflow.
-        inflow = arrival_bps / 8 * dt
-        nic_capacity = nic_bps / 8 * dt
         nic_backlog = self.q_nic + inflow
-        dma_bytes = np.minimum(nic_capacity, nic_backlog)
+        dma_bytes = np.minimum(nic_Bps * dt, nic_backlog)
         level = nic_backlog - dma_bytes
         dropped_bytes = np.maximum(level - self.buffer_bytes, 0.0)
         q_nic = np.minimum(level, self.buffer_bytes)
         q_demand = np.where(open_loop, q_demand + dropped_bytes,
                             self.q_demand)
-        nic_Bps = np.maximum(nic_bps / 8, 1.0)
-        nic_delay = t_total + q_nic / nic_Bps
+        nic_delay = t_total + q_nic / np.maximum(nic_Bps, 1.0)
 
         # CPU stage: unbounded in-memory backlog, loss-free.
-        cpu_capacity = cpu_bps / 8 * dt
         cpu_backlog = self.q_cpu + dma_bytes
-        done_bytes = np.minimum(cpu_capacity, cpu_backlog)
+        done_bytes = np.minimum(cpu_Bps * dt, cpu_backlog)
         q_cpu = cpu_backlog - done_bytes
-        cpu_Bps = np.maximum(cpu_bps / 8, 1.0)
-        host_delay = nic_delay + q_cpu / cpu_Bps
+        host_delay = nic_delay + q_cpu / np.maximum(cpu_Bps, 1.0)
 
         # Aggregate AIMD against the one-RTT-delayed signal: loss-based
         # lanes grow until a loss round, Swift lanes until the delay
@@ -254,53 +258,31 @@ class BatchFluidSolver:
         can_cut = now - self._last_decrease >= rtt_eff
         grow = np.where(loss_based, self._delayed_loss <= 0.0,
                         signal < self.swift_target)
-        W_grown = np.where(loss_based,
-                           W + self.loss_ai_n * dt / rtt_eff,
-                           W + self.swift_ai_n * dt / rtt_eff)
         mdf = np.minimum(
             self.swift_beta * (signal - self.swift_target) / signal,
             self.swift_max_mdf)
-        W_cut = np.where(loss_based, W * LOSS_CC_BETA, W * (1.0 - mdf))
-        cut = ~grow & can_cut
-        W_new = np.where(grow, W_grown, np.where(can_cut, W_cut, W))
+        W_new = np.where(
+            grow, W + self._ai_dt / rtt_eff,
+            np.where(can_cut,
+                     W * np.where(loss_based, LOSS_CC_BETA, 1.0 - mdf),
+                     W))
         W_new = np.minimum(np.maximum(W_new, self.min_W), self.max_W)
-        last_decrease = np.where(cut, now, self._last_decrease)
+        last_decrease = np.where(~grow & can_cut, now,
+                                 self._last_decrease)
 
-        # Accumulators (the array form of the scalar step's tail).
-        rx = inflow / self.wire_bytes
+        # Accumulators: only what ``fleet_metrics`` folds.
         dropped = dropped_bytes / self.wire_bytes
-        dma = dma_bytes / self.wire_bytes
         drained = done_bytes / self.wire_bytes
         self.elapsed += dt
-        self.rx_packets += rx
+        self.rx_packets += inflow / self.wire_bytes
         self.dropped_packets += dropped
-        self.dma_packets += dma
-        self.drained_packets += drained
         self.drained_payload_bytes += drained * self.payload_bytes
-        self.retransmissions += dropped
-        self.dma_latency_weighted += t_total * dma
-        self.nic_delay_weighted += nic_delay * dma
-        self.utilization_integral += rho * dt
-        self.achieved_bw_integral += achieved_Bps * dt
-        self.cwnd_integral += W_new / self.n_flows * dt
-        self.peak_queue_bytes = np.maximum(self.peak_queue_bytes, q_nic)
-        # Timeout synthesis (the scalar ``drained > 0`` branch).  The
-        # loss-probability model needs a true pow, whose numpy kernel
-        # differs from libm in the last ulp — ``timeouts`` feeds no
-        # fleet metric, and the equivalence tests hold it to rtol.
-        p_pkt = np.zeros(self.n)
-        np.divide(dropped, rx, out=p_pkt, where=rx > 0.0)
-        np.minimum(p_pkt, 1.0, out=p_pkt)
-        messages = drained / self.packets_per_read
-        p_msg = 1.0 - (1.0 - p_pkt) ** self.packets_per_read
-        self.timeouts += np.where(drained > 0.0,
-                                  messages * (p_msg * p_pkt), 0.0)
 
         # Roll the delayed signals forward one step.
         self._delayed_signal = self._host_delay
         self._host_delay = host_delay
         self._delayed_loss = dropped_bytes
-        self._nic_drain_pps = dma / dt
+        self._nic_drain_pps = dma_bytes / self.wire_bytes / dt
         self._cpu_drain_pps = drained / dt
         self.W = W_new
         self._last_decrease = last_decrease

@@ -11,7 +11,6 @@ invariants the fleet driver relies on (exact partition; a key never
 splits identical configs)."""
 
 import dataclasses
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,8 +82,7 @@ def assert_lane_matches_scalar(batch: BatchFluidSolver, lane: int,
                                scalar: FluidSolver) -> None:
     """Lane ``lane`` of ``batch`` must equal the solved ``scalar``:
     exact for every state variable and accumulator in the dynamics
-    chain; rtol for ``timeouts`` (the one knowingly inexact output,
-    see the fluid_batch module docstring)."""
+    chain."""
     assert int(batch.steps[lane]) == scalar.steps
     for attr in _STATE_ATTRS:
         assert float(getattr(batch, attr)[lane]) == getattr(
@@ -92,11 +90,7 @@ def assert_lane_matches_scalar(batch: BatchFluidSolver, lane: int,
     for attr in _ACC_ATTRS:
         got = float(getattr(batch, attr)[lane])
         want = getattr(scalar.run, attr)
-        if attr == "timeouts":
-            assert math.isclose(got, want, rel_tol=1e-9,
-                                abs_tol=1e-12), "timeouts out of rtol"
-        else:
-            assert got == want, f"accumulator {attr} diverged"
+        assert got == want, f"accumulator {attr} diverged"
 
 
 @settings(max_examples=25, deadline=None)

@@ -216,3 +216,19 @@ def test_reset_stats_zeroes_counters():
     assert nic.rx_packets == 0
     assert nic.dma_completed_packets == 0
     assert nic.mean_dma_latency() == 0.0
+
+
+def test_iommu_off_draws_no_pages():
+    """With the IOMMU off no translation happens, so the NIC skips page
+    choice: the host RNG stream is untouched by DMAs and ACKs alike."""
+    sim, nic, delivered = make_nic(iommu_enabled=False)
+    before = nic.rng.getstate()
+    for seq in range(8):
+        nic.receive(pkt(seq, thread_id=seq % 2))
+    sent = []
+    ack = Ack(flow_id=0, seq=0, sent_time_echo=0.0, host_delay=1e-6)
+    nic.transmit_ack(ack, 0, on_wire=sent.append)
+    sim.run(until=1e-3)
+    assert len(delivered) == 8 and sent == [ack]
+    assert nic.rng.getstate() == before
+    assert nic.iommu.translations == 0

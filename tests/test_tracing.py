@@ -90,3 +90,26 @@ def test_nic_emits_trace_events_when_enabled():
     sim.run(until=1e-4)
     assert tracer.filter(component="nic", event="dma_start")
     assert tracer.filter(component="nic", event="dma_done")
+
+
+def test_nic_traces_dma_done_after_clear():
+    """A cleared (empty) ring must not read as a disabled tracer: the
+    DMA in flight across ``clear()`` still records its completion."""
+    import random
+
+    from repro.core.config import HostConfig
+    from repro.host import ReceiverHost
+    from repro.net.packet import Packet
+
+    sim = Simulator()
+    tracer = Tracer(sim, enabled=True)
+    host = ReceiverHost(sim, HostConfig(), random.Random(0),
+                        tracer=tracer)
+    host.attach_ack_egress(lambda a: None)
+    host.attach_receiver(lambda p: None)
+    host.deliver_packet(Packet(0, 0, 4096, 4452, 0.0, 0))
+    assert tracer.filter(component="nic", event="dma_start")
+    assert not tracer.filter(component="nic", event="dma_done")
+    tracer.clear()
+    sim.run(until=1e-4)
+    assert tracer.filter(component="nic", event="dma_done")
