@@ -558,6 +558,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     telemetry.finish()
     elapsed = time.perf_counter() - start
     hosts_per_s = aggregate.hosts / elapsed if elapsed > 0 else 0.0
+    counts = sampler.solve_counts
     print(scatter_plot(aggregate.scatter_points(),
                        title="fleet drop rate vs utilization",
                        x_label="link utilization", y_label="drop rate"))
@@ -565,7 +566,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(line)
     print(f"\n{aggregate.droppers}/{aggregate.hosts} hosts dropping "
           f"({elapsed:.1f}s wall, {hosts_per_s:.0f} hosts/s, "
-          f"{sampler.fidelity}/{backend})")
+          f"{sampler.fidelity}/{backend}, {counts['solved']} solved + "
+          f"{counts['memo_hits']} memo hits)")
     if checkpoint is not None:
         print(f"checkpoint: {checkpoint}")
     if args.json_out:
@@ -578,6 +580,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             "hosts_per_s": round(hosts_per_s, 1),
             "elapsed_s": round(elapsed, 3),
             "batch_size": args.batch_size, "workers": args.workers,
+            **counts,
         }
         Path(args.json_out).write_text(json.dumps(state))
         print(f"aggregate: {args.json_out}")

@@ -31,10 +31,11 @@ answer.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.config import (
     CpuConfig,
@@ -66,6 +67,39 @@ __all__ = [
 ProgressFn = Callable[[int, int], None]
 #: Lifecycle-event sink, as in :mod:`repro.core.parallel`.
 EventFn = Callable[[Dict], None]
+#: A drawn host's structure: ``(cores, iommu_on, hugepages, region_mb,
+#: antagonist, senders, offered, transport)`` — every field that
+#: differs between draws except ``sim.seed``
+#: (:meth:`FleetSampler.draw_key`).
+HostKey = Tuple[int, bool, bool, int, int, int, Optional[float], str]
+#: A solved host's ``(link_utilization, drop_rate,
+#: app_throughput_gbps)``.
+Outcome = Tuple[float, float, float]
+
+#: Most host outcomes one process memoises for one ``run_aggregate``
+#: call.  The fleet draw's key lattice has at most 6,816 points, so a
+#: fleet never reaches the bound; past it, new keys are still solved,
+#: just not kept.
+_MEMO_LIMIT = 1 << 15
+#: The process's outcome memo, with the token of the ``run_aggregate``
+#: call that owns it (:func:`_run_memo`).
+_memo: Tuple[Optional[str], Dict[HostKey, Outcome]] = (None, {})
+
+
+def _run_memo(token: str) -> Dict[HostKey, Outcome]:
+    """This process's outcome memo for the ``run_aggregate`` call
+    ``token`` names: a fresh one if another call owns the current."""
+    global _memo
+    if _memo[0] != token:
+        _memo = (token, {})
+    return _memo[1]
+
+
+def _release_memo(token: str) -> None:
+    """Drop the memo of call ``token``, if this process holds it."""
+    global _memo
+    if _memo[0] == token:
+        _memo = (None, {})
 
 
 def cohort_key(config: ExperimentConfig) -> float:
@@ -105,17 +139,20 @@ class _FailureStub:
 
 def _solve_batch_range(seed: int, warmup: float, duration: float,
                        fidelity: str, start: int, stop: int,
-                       alpha: float, want_hosts: bool):
+                       alpha: float, want_hosts: bool, token: str):
     """Top-level (picklable) batched-fleet pool task: rebuild the
     sampler from its defining tuple and solve one host range.  Workers
     receive *index ranges*, never configs — the population is
     re-derived in-worker from the ``(seed, index)`` substreams, so it
     is byte-identical however ranges land on processes, and the
-    per-task IPC payload is five scalars instead of ``batch_size``
-    config trees."""
+    per-task IPC payload is a few scalars instead of ``batch_size``
+    config trees.  ``token`` names the ``run_aggregate`` call, so the
+    ranges of one call share this process's outcome memo and no
+    outcome outlives its call."""
     sampler = FleetSampler(seed=seed, warmup=warmup, duration=duration,
                            fidelity=fidelity)
-    return sampler._solve_range(start, stop, alpha, want_hosts)
+    return sampler._solve_range(start, stop, alpha, want_hosts,
+                                _run_memo(token))
 
 
 def substream_seed(seed: int, index: int) -> int:
@@ -183,6 +220,10 @@ class FleetSampler:
         self._swift = SwiftConfig()
         self._hosts: Dict[tuple, HostConfig] = {}
         self._workloads: Dict[tuple, WorkloadConfig] = {}
+        #: The last :meth:`run_aggregate` call's host solves and memo
+        #: hits; they sum to the hosts it folded.
+        self.solve_counts: Dict[str, int] = {"solved": 0,
+                                             "memo_hits": 0}
 
     #: Host classes and their fleet shares.  Stratified sampling: a
     #: production fleet is a mix of host populations, and stratifying
@@ -204,9 +245,15 @@ class FleetSampler:
                 return name
         return self.STRATA[-1][0]
 
-    def draw_config(self, index: int) -> ExperimentConfig:
-        """Host ``index``'s configuration — a pure function of
-        ``(self.seed, index)``, independent of any draw order."""
+    def draw_key(self, index: int) -> Tuple[str, int, HostKey]:
+        """Host ``index``'s draw without the config tree: its stratum,
+        its ``sim.seed``, and its :data:`HostKey`.
+
+        Makes every RNG call :meth:`draw_config` makes, in the same
+        order, so ``build_config(key, seed)`` of the result *is*
+        ``draw_config(index)``.  A pure function of
+        ``(self.seed, index)``, independent of any draw order.
+        """
         rng = random.Random(substream_seed(self.seed, index))
         host_class = self._draw_class(index)
         iommu_on = rng.random() < 0.85
@@ -233,7 +280,17 @@ class FleetSampler:
         # The paper's cluster "runs both the Linux kernel and SNAP
         # network stacks, with TCP and Swift" — an even mix.
         transport = rng.choice(("swift", "cubic"))
-        host_key = (cores, iommu_on, hugepages, region_mb, antagonist)
+        key = (cores, iommu_on, hugepages, region_mb, antagonist,
+               senders, offered, transport)
+        return host_class, rng.randrange(1, 2**31), key
+
+    def build_config(self, key: HostKey, sim_seed: int
+                     ) -> ExperimentConfig:
+        """The :class:`ExperimentConfig` of a drawn :data:`HostKey`,
+        assembled from the sampler's memoised sub-configs."""
+        (cores, iommu_on, hugepages, region_mb, antagonist,
+         senders, offered, transport) = key
+        host_key = key[:5]
         host = self._hosts.get(host_key)
         if host is None:
             host = self._hosts[host_key] = HostConfig(
@@ -259,9 +316,16 @@ class FleetSampler:
             sim=SimConfig(
                 warmup=self.warmup,
                 duration=self.duration,
-                seed=rng.randrange(1, 2**31),
+                seed=sim_seed,
             ),
         )
+
+    def draw_config(self, index: int) -> ExperimentConfig:
+        """Host ``index``'s configuration — a pure function of
+        ``(self.seed, index)``, independent of any draw order:
+        :meth:`build_config` of :meth:`draw_key`."""
+        _stratum, sim_seed, key = self.draw_key(index)
+        return self.build_config(key, sim_seed)
 
     def iter_configs(self, start: int, stop: int
                      ) -> Iterator[ExperimentConfig]:
@@ -366,79 +430,101 @@ class FleetSampler:
         return backend
 
     def _solve_range(self, start: int, stop: int, alpha: float,
-                     want_hosts: bool):
+                     want_hosts: bool, memo: Dict[HostKey, Outcome]):
         """Batch-solve hosts ``[start, stop)`` into a partial aggregate.
 
-        The body of one batched-fleet task: draw the range's configs,
-        partition them by step size (:func:`group_cohorts` — one cohort
-        for the fleet population), step each cohort through one
-        :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and fold the
-        per-host outcomes — in index order — into a fresh
-        :class:`FleetAggregate`.  A cohort whose batch solve raises is
-        a bug to surface, not to route around: every host in it is
-        folded via ``add_failed`` as an ``"error"`` carrying the
-        exception's repr, and the rest of the range still folds.
+        The body of one batched-fleet task.  Each host is drawn as a
+        key only (:meth:`draw_key`).  A fluid host on the star fabric
+        is a pure function of its key: ``sim.seed`` feeds only the
+        routing policy of a multi-tier fabric, which a star never
+        builds.  So only keys missing from ``memo`` are built into
+        configs, partitioned by step size (:func:`group_cohorts` — one
+        cohort for the fleet population), and stepped, each cohort
+        through one :class:`~repro.sim.fluid_batch.BatchFluidSolver`;
+        their outcomes join ``memo`` (up to :data:`_MEMO_LIMIT`).  Then
+        every host folds — in index order — from its key's outcome
+        into a fresh :class:`FleetAggregate`.  :meth:`run_aggregate`
+        passes one ``memo`` per call and process (:func:`_run_memo`).
 
-        Returns ``(aggregate_state_dict, host_rows)`` — plain
+        A cohort whose batch solve raises is a bug to surface, not to
+        route around: every host whose key was in it is folded via
+        ``add_failed`` as an ``"error"`` carrying the exception's repr,
+        its keys stay out of the memo (a later range solves them
+        afresh), and the rest of the range still folds.
+
+        Returns ``(aggregate_state_dict, host_rows, solved)`` — plain
         picklable data.  ``host_rows`` is ``None`` unless
         ``want_hosts``; otherwise one ``(index, kind, payload)`` tuple
-        per host for the parent's telemetry fan-out.
+        per host for the parent's telemetry fan-out.  ``solved`` is the
+        number of lanes stepped; the range's other hosts were memo
+        hits.
         """
         from repro.sim.fluid_batch import BatchFluidSolver
 
         end_time = self.warmup + self.duration
-        configs = {i: self.draw_config(i) for i in range(start, stop)}
-        outcomes: Dict[int, tuple] = {}
+        draws = [self.draw_key(i) for i in range(start, stop)]
+        outcomes: Dict[HostKey, Outcome] = {}
+        fresh: Dict[HostKey, ExperimentConfig] = {}
+        for _stratum, sim_seed, key in draws:
+            if key in outcomes or key in fresh:
+                continue
+            known = memo.get(key)
+            if known is not None:
+                outcomes[key] = known
+            else:
+                fresh[key] = self.build_config(key, sim_seed)
 
-        for indices in group_cohorts(configs.items()).values():
+        errors: Dict[HostKey, str] = {}
+        for keys in group_cohorts(fresh.items()).values():
             try:
-                solver = BatchFluidSolver([configs[i] for i in indices])
+                solver = BatchFluidSolver([fresh[key] for key in keys])
                 solver.run_until(self.warmup)
                 solver.reset_stats()
                 solver.run_until(end_time)
                 metrics = solver.fleet_metrics()
             except Exception as exc:
-                for index in indices:
-                    outcomes[index] = ("failed", "error", repr(exc))
+                for key in keys:
+                    errors[key] = repr(exc)
                 continue
             utils = metrics["link_utilization"]
             drops = metrics["drop_rate"]
             apps = metrics["app_throughput_gbps"]
-            for lane, index in enumerate(indices):
-                outcomes[index] = ("ok", float(utils[lane]),
-                                   float(drops[lane]),
-                                   float(apps[lane]))
+            for lane, key in enumerate(keys):
+                outcome = (float(utils[lane]), float(drops[lane]),
+                           float(apps[lane]))
+                outcomes[key] = outcome
+                if len(memo) < _MEMO_LIMIT:
+                    memo[key] = outcome
 
         aggregate = FleetAggregate(alpha=alpha)
         host_rows: Optional[list] = [] if want_hosts else None
-        for index in range(start, stop):
-            outcome = outcomes[index]
-            if outcome[0] == "ok":
-                _, utilization, drop_rate, app_gbps = outcome
-                config = configs[index]
-                aggregate.add(FleetSample(
-                    host_index=index,
-                    link_utilization=utilization,
-                    drop_rate=drop_rate,
-                    transport=config.transport,
-                    cores=config.host.cpu.cores,
-                    antagonist_cores=config.host.antagonist_cores,
-                    iommu=config.host.iommu.enabled,
-                    hugepages=config.host.hugepages,
-                    stratum=self._draw_class(index),
-                ))
+        for index, (stratum, _seed, key) in enumerate(draws, start):
+            outcome = outcomes.get(key)
+            if outcome is None:
+                aggregate.add_failed(_FailureStub("error"))
                 if host_rows is not None:
-                    host_rows.append((index, "ok", {
-                        "link_utilization": utilization,
-                        "drop_rate": drop_rate,
-                        "app_throughput_gbps": app_gbps}))
-            else:
-                _, kind, error = outcome
-                aggregate.add_failed(_FailureStub(kind))
-                if host_rows is not None:
-                    host_rows.append((index, kind,
-                                      {"error": error}))
-        return aggregate.to_dict(), host_rows
+                    host_rows.append((index, "error",
+                                      {"error": errors[key]}))
+                continue
+            utilization, drop_rate, app_gbps = outcome
+            cores, iommu_on, hugepages, _, antagonist, _, _, transport = key
+            aggregate.add(FleetSample(
+                host_index=index,
+                link_utilization=utilization,
+                drop_rate=drop_rate,
+                transport=transport,
+                cores=cores,
+                antagonist_cores=antagonist,
+                iommu=iommu_on,
+                hugepages=hugepages,
+                stratum=stratum,
+            ))
+            if host_rows is not None:
+                host_rows.append((index, "ok", {
+                    "link_utilization": utilization,
+                    "drop_rate": drop_rate,
+                    "app_throughput_gbps": app_gbps}))
+        return aggregate.to_dict(), host_rows, len(fresh)
 
     def run_aggregate(
         self,
@@ -489,14 +575,20 @@ class FleetSampler:
         (:func:`repro.core.parallel.map_stream`) that re-derives its
         configs in-worker and vectorizes them per step-size cohort
         through :class:`~repro.sim.fluid_batch.BatchFluidSolver`, and
-        the returned partial aggregates merge in index order.  The
+        the returned partial aggregates merge in index order.  Each
+        process solves each distinct host key once per call
+        (:meth:`_solve_range`) and copies the outcome to every host
+        that shares it; the memo is keyed by a token minted per call,
+        so no outcome outlives the call that solved it.  The
         per-host outcomes are bit-identical to the scalar backend's
         (see ``repro.sim.fluid_batch``), so both backends produce
         equal aggregates for the same population; checkpoint/resume
         semantics carry over, with the cursor advancing a range at a
         time.  ``timeout`` applies per host under the scalar backend
         only (a fluid batch is deterministic compute with no per-host
-        waiting to bound).
+        waiting to bound).  The call's solve and memo-hit counts land
+        in :attr:`solve_counts` and, per shard, in the shard-done
+        event; the scalar backend solves every host.
         """
         batched = self.resolve_backend(backend) == "batched"
         if batch_size < 1:
@@ -537,80 +629,99 @@ class FleetSampler:
                     "cached": 0, "ts": time.time()})
 
         persist = checkpoint is not None
-        for shard in todo:
-            record = ckpt.shards[shard]
-            start, stop = bounds[shard]
-            if record["done"]:
-                continue
-            cursor = record["cursor"]
-            if events is not None:
-                events({"ev": "shard", "shard": shard, "start": start,
-                        "stop": stop, "cursor": cursor,
-                        "ts": time.time()})
-            aggregate = record["aggregate"]
-            since_save = 0
-            if batched:
-                from repro.core.parallel import map_stream
-                ranges = [(lo, min(lo + batch_size, stop))
-                          for lo in range(cursor, stop, batch_size)]
-                tasks = ((self.seed, self.warmup, self.duration,
-                          self.fidelity, lo, hi, alpha,
-                          events is not None)
-                         for lo, hi in ranges)
-                for _pos, (state, host_rows) in map_stream(
-                        _solve_batch_range, tasks, workers=workers):
-                    partial = FleetAggregate.from_dict(state)
-                    aggregate.merge(partial)
-                    folded = partial.hosts + partial.failed
-                    cursor += folded
-                    done_hosts += folded
-                    since_save += folded
-                    record["cursor"] = cursor
-                    if events is not None and host_rows:
-                        stamp = time.time()
-                        for index, kind, payload in host_rows:
-                            if kind == "ok":
-                                events({"ev": "finished",
-                                        "index": index,
-                                        "metrics": payload,
-                                        "ts": stamp})
-                            else:
-                                events({"ev": "failed", "index": index,
-                                        "failure_kind": kind,
-                                        "ts": stamp, **payload})
-                    if progress is not None:
-                        progress(done_hosts, n_hosts)
-                    if persist and since_save >= checkpoint_every:
-                        ckpt.save()
-                        since_save = 0
-            else:
-                for item in self.stream(stop, start=cursor,
-                                        workers=workers, events=events,
-                                        timeout=timeout,
-                                        failures="keep",
-                                        announce=False):
-                    if isinstance(item, FleetSample):
-                        aggregate.add(item)
-                    else:
-                        aggregate.add_failed(item)
-                    cursor += 1
-                    done_hosts += 1
-                    since_save += 1
-                    record["cursor"] = cursor
-                    if progress is not None:
-                        progress(done_hosts, n_hosts)
-                    if persist and since_save >= checkpoint_every:
-                        ckpt.save()
-                        since_save = 0
-            record["done"] = True
-            record["cursor"] = stop
-            if persist:
-                ckpt.save()
-            if events is not None:
-                events({"ev": "shard", "shard": shard, "start": start,
-                        "stop": stop, "cursor": stop, "done": True,
-                        "ts": time.time()})
-            if stop_after_shard is not None and shard >= stop_after_shard:
-                break
+        # One token per call: the call's ranges share each process's
+        # outcome memo (_run_memo), and no outcome outlives the call.
+        token = os.urandom(8).hex()
+        totals = {"solved": 0, "memo_hits": 0}
+        try:
+            for shard in todo:
+                record = ckpt.shards[shard]
+                start, stop = bounds[shard]
+                if record["done"]:
+                    continue
+                cursor = record["cursor"]
+                if events is not None:
+                    events({"ev": "shard", "shard": shard,
+                            "start": start, "stop": stop,
+                            "cursor": cursor, "ts": time.time()})
+                aggregate = record["aggregate"]
+                since_save = 0
+                solved = hits = 0
+                if batched:
+                    from repro.core.parallel import map_stream
+                    ranges = [(lo, min(lo + batch_size, stop))
+                              for lo in range(cursor, stop, batch_size)]
+                    tasks = ((self.seed, self.warmup, self.duration,
+                              self.fidelity, lo, hi, alpha,
+                              events is not None, token)
+                             for lo, hi in ranges)
+                    for _pos, (state, host_rows, lanes) in map_stream(
+                            _solve_batch_range, tasks, workers=workers):
+                        partial = FleetAggregate.from_dict(state)
+                        aggregate.merge(partial)
+                        folded = partial.hosts + partial.failed
+                        solved += lanes
+                        hits += folded - lanes
+                        cursor += folded
+                        done_hosts += folded
+                        since_save += folded
+                        record["cursor"] = cursor
+                        if events is not None and host_rows:
+                            stamp = time.time()
+                            for index, kind, payload in host_rows:
+                                if kind == "ok":
+                                    events({"ev": "finished",
+                                            "index": index,
+                                            "metrics": payload,
+                                            "ts": stamp})
+                                else:
+                                    events({"ev": "failed",
+                                            "index": index,
+                                            "failure_kind": kind,
+                                            "ts": stamp, **payload})
+                        if progress is not None:
+                            progress(done_hosts, n_hosts)
+                        if persist and since_save >= checkpoint_every:
+                            ckpt.save()
+                            since_save = 0
+                else:
+                    for item in self.stream(stop, start=cursor,
+                                            workers=workers,
+                                            events=events,
+                                            timeout=timeout,
+                                            failures="keep",
+                                            announce=False):
+                        if isinstance(item, FleetSample):
+                            aggregate.add(item)
+                        else:
+                            aggregate.add_failed(item)
+                        solved += 1
+                        cursor += 1
+                        done_hosts += 1
+                        since_save += 1
+                        record["cursor"] = cursor
+                        if progress is not None:
+                            progress(done_hosts, n_hosts)
+                        if persist and since_save >= checkpoint_every:
+                            ckpt.save()
+                            since_save = 0
+                record["done"] = True
+                record["cursor"] = stop
+                totals["solved"] += solved
+                totals["memo_hits"] += hits
+                if persist:
+                    ckpt.save()
+                if events is not None:
+                    events({"ev": "shard", "shard": shard,
+                            "start": start, "stop": stop,
+                            "cursor": stop, "done": True,
+                            "solved": solved, "memo_hits": hits,
+                            "ts": time.time()})
+                if (stop_after_shard is not None
+                        and shard >= stop_after_shard):
+                    break
+        finally:
+            _release_memo(token)
+            self.solve_counts = totals
 
         return ckpt.merged()

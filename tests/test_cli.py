@@ -198,6 +198,22 @@ def test_cache_stats_and_clear(tmp_path, capsys):
     assert "removed 2" in capsys.readouterr().out
 
 
+def test_fleet_reports_solve_counts(tmp_path, capsys):
+    out_json = tmp_path / "fleet.json"
+    assert main(["fleet", "--hosts", "60", "--fidelity", "fluid",
+                 "--warmup-ms", "0.5", "--duration-ms", "1",
+                 "--batch-size", "16", "--json-out", str(out_json)]) == 0
+    state = json.loads(out_json.read_text())
+    info = state["run_info"]
+    assert info["solved"] + info["memo_hits"] == 60
+    assert f"{info['solved']} solved + {info['memo_hits']} memo hits" in (
+        capsys.readouterr().out)
+    # The counts are run metadata, not part of the aggregate.
+    from repro.workload.fleet_agg import FleetAggregate
+
+    assert "solved" not in FleetAggregate.from_dict(state).to_dict()
+
+
 def test_fleet_workers_flag(capsys):
     code = main(["fleet", "--hosts", "2", "--workers", "2",
                  "--warmup-ms", "0.5", "--duration-ms", "1"])

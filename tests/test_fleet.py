@@ -20,6 +20,7 @@ from repro.core.config import (
     SimConfig,
     WorkloadConfig,
 )
+from repro.workload import fleet
 from repro.workload.fleet import FleetSample, FleetSampler, substream_seed
 from repro.workload.fleet_agg import (
     FleetAggregate,
@@ -150,6 +151,47 @@ def test_memoised_draw_equals_config_built_from_scratch():
     # hosts, and one link per sampler.
     assert len({id(c.host) for c in configs}) < 200
     assert len({id(c.link) for c in configs}) == 1
+
+
+@pytest.mark.parametrize("seed", (13, 29))
+def test_key_covers_the_drawn_config(seed):
+    """The memo's premise: a host's structural key plus its seed
+    rebuild its config exactly, and hosts with equal keys differ in
+    nothing but ``sim.seed``."""
+    sampler = FleetSampler(seed=seed, warmup=0.5e-3, duration=1e-3,
+                           fidelity="fluid")
+    by_key = {}
+    for index in range(1200):
+        stratum, sim_seed, key = sampler.draw_key(index)
+        assert stratum == sampler._draw_class(index)
+        config = sampler.build_config(key, sim_seed)
+        scratch = _draw_from_scratch(sampler, index)
+        _assert_fields_equal(config, scratch)
+        _assert_fields_equal(sampler.draw_config(index), scratch)
+        unseeded = dataclasses.replace(
+            scratch, sim=dataclasses.replace(scratch.sim, seed=0))
+        if key in by_key:
+            _assert_fields_equal(unseeded, by_key[key])
+        else:
+            by_key[key] = unseeded
+    assert len(by_key) < 1200  # keys repeat: the memo has work to do
+
+
+def test_fluid_star_outcome_ignores_sim_seed():
+    """A fluid host on the star fabric draws nothing from ``sim.seed``
+    (it feeds only a multi-tier fabric's routing policy), so hosts
+    with equal keys share one outcome."""
+    from repro.core.experiment import run_experiment
+
+    sampler = FleetSampler(seed=5, warmup=0.5e-3, duration=1e-3,
+                           fidelity="fluid")
+    for index in range(4):  # one host per stratum
+        config = sampler.draw_config(index)
+        assert config.fabric.topology == "star"
+        other = dataclasses.replace(config, sim=dataclasses.replace(
+            config.sim, seed=config.sim.seed + 1))
+        assert (run_experiment(config).metrics
+                == run_experiment(other).metrics)
 
 
 def test_shard_bounds_partition_exactly():
@@ -403,6 +445,123 @@ class TestBatchedBackend:
                    for e in failed)
         finished = [e for e in events if e.get("ev") == "finished"]
         assert sorted(e["index"] for e in finished) == list(range(32))
+
+
+class TestOutcomeMemo:
+    """The batched fleet solves each distinct host key once per
+    ``run_aggregate`` call and copies the outcome to every host that
+    shares the key."""
+
+    def sampler(self, seed=5):
+        return FleetSampler(seed=seed, warmup=0.5e-3, duration=1e-3,
+                            fidelity="fluid")
+
+    @staticmethod
+    def count_lanes(monkeypatch):
+        from repro.sim.fluid_batch import BatchFluidSolver
+
+        lanes = []
+        init = BatchFluidSolver.__init__
+
+        def counting_init(self, configs):
+            lanes.append(len(configs))
+            init(self, configs)
+
+        monkeypatch.setattr(BatchFluidSolver, "__init__", counting_init)
+        return lanes
+
+    def test_each_call_solves_each_distinct_key_once(self, monkeypatch):
+        sampler = self.sampler()
+        n_hosts = 300
+        distinct = len({sampler.draw_key(i)[2] for i in range(n_hosts)})
+        assert distinct < n_hosts
+        lanes = self.count_lanes(monkeypatch)
+        first = sampler.run_aggregate(n_hosts, batch_size=64)
+        assert sum(lanes) == distinct
+        assert sampler.solve_counts == {
+            "solved": distinct, "memo_hits": n_hosts - distinct}
+        # No outcome survives into the next call: it pays the same
+        # solves again, to the same answer.
+        assert fleet._memo == (None, {})
+        lanes.clear()
+        second = sampler.run_aggregate(n_hosts, batch_size=64)
+        assert sum(lanes) == distinct
+        assert second == first
+        assert first == sampler.run_aggregate(n_hosts, backend="scalar")
+        assert sampler.solve_counts == {"solved": n_hosts,
+                                        "memo_hits": 0}
+
+    def test_shard_done_events_carry_solve_counts(self):
+        events = []
+        sampler = self.sampler()
+        sampler.run_aggregate(120, shards=2, batch_size=32,
+                              events=events.append)
+        done = [e for e in events
+                if e.get("ev") == "shard" and e.get("done")]
+        assert len(done) == 2
+        assert sum(e["solved"] + e["memo_hits"] for e in done) == 120
+        assert sum(e["solved"] for e in done) == (
+            sampler.solve_counts["solved"])
+
+    def test_memo_bound_only_costs_solves(self, monkeypatch):
+        sampler = self.sampler()
+        memoised = sampler.run_aggregate(300, batch_size=64)
+        unbounded_solves = sampler.solve_counts["solved"]
+        monkeypatch.setattr(fleet, "_MEMO_LIMIT", 0)
+        assert sampler.run_aggregate(300, batch_size=64) == memoised
+        assert sampler.solve_counts["solved"] > unbounded_solves
+
+    def test_memo_is_scoped_to_its_token(self):
+        key = (8, True, True, 4, 0, 10, None, "swift")
+        fleet._run_memo("call-a")[key] = (0.5, 0.0, 10.0)
+        assert fleet._run_memo("call-a") == {key: (0.5, 0.0, 10.0)}
+        assert fleet._run_memo("call-b") == {}
+        fleet._release_memo("call-a")  # not the holder: a no-op
+        fleet._run_memo("call-b")[key] = (0.5, 0.0, 10.0)
+        assert fleet._memo == ("call-b", {key: (0.5, 0.0, 10.0)})
+        fleet._release_memo("call-b")
+        assert fleet._memo == (None, {})
+
+    def test_failed_key_is_solved_again_not_failed_twice(
+            self, monkeypatch):
+        """A key whose batch raised stays out of the memo: its next
+        host re-solves it, and only the failed batch's host counts as
+        failed."""
+        from repro.sim.fluid_batch import BatchFluidSolver
+
+        sampler = self.sampler(seed=10)
+        n_hosts = 30
+        keys = [sampler.draw_key(i)[2] for i in range(n_hosts)]
+        first = next(i for i, key in enumerate(keys)
+                     if key in keys[i + 1:])
+        repeat = keys.index(keys[first], first + 1)
+        distinct = len(set(keys))
+        # batch_size 1 builds one solver per distinct key, in index
+        # order, so the first host of the repeated key owns this one:
+        doomed = len(set(keys[:first + 1]))
+        lanes = self.count_lanes(monkeypatch)
+        run_until = BatchFluidSolver.run_until
+
+        def broken_once(self, until):
+            if len(lanes) == doomed:
+                raise FloatingPointError("injected")
+            run_until(self, until)
+
+        monkeypatch.setattr(BatchFluidSolver, "run_until", broken_once)
+        events = []
+        aggregate = sampler.run_aggregate(n_hosts, batch_size=1,
+                                          events=events.append)
+        assert aggregate.failed == 1
+        assert aggregate.hosts == n_hosts - 1
+        failed = [e["index"] for e in events if e.get("ev") == "failed"]
+        assert failed == [first]
+        finished = {e["index"] for e in events
+                    if e.get("ev") == "finished"}
+        assert repeat in finished
+        assert sum(lanes) == distinct + 1
+        assert sampler.solve_counts == {
+            "solved": distinct + 1,
+            "memo_hits": n_hosts - distinct - 1}
 
 
 class TestFleetAggregate:
